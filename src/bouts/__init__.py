@@ -54,18 +54,7 @@ from .stability import (
     ztest,
 )
 from .synth import SynthSpec, SynthTruth, generate, write_outputs
-from .trees import (
-    NodeView,
-    SplitCandidate,
-    Tree,
-    TreeParams,
-    best_split_single,
-    grow_tree,
-    impurity,
-    penalized_gain,
-    predict_tree,
-    raw_gain,
-)
+from .trees import NodeView, TreeParams, penalized_gain, raw_gain
 
 __version__ = "0.1.0"
 
@@ -84,15 +73,12 @@ __all__ = [
     "SelectedPenalty",
     "SelectionMatrix",
     "SplitAssignment",
-    "SplitCandidate",
     "StabilityReport",
     "Standardizer",
     "SynthSpec",
     "SynthTruth",
     "TaskDataset",
-    "Tree",
     "TreeParams",
-    "best_split_single",
     "build_category",
     "cohens_d",
     "explained_variance",
@@ -102,8 +88,6 @@ __all__ = [
     "fit_standardizer",
     "generate",
     "grow_multitask_tree",
-    "grow_tree",
-    "impurity",
     "load_manifest",
     "load_task_csv",
     "log_grid",
@@ -112,7 +96,6 @@ __all__ = [
     "normalized_absolute_error",
     "overlap_split",
     "penalized_gain",
-    "predict_tree",
     "prune_features",
     "raw_gain",
     "select_penalty",

@@ -18,7 +18,7 @@ import numpy as np
 from .data import MultitaskDataset, SplitAssignment
 from .errors import DataError
 from .multitask import MultitaskTree, grow_multitask_tree
-from .trees import Tree, TreeParams, grow_tree
+from .trees import TreeParams
 
 # A single-leaf tree whose value is this close to zero adds nothing; the
 # round is skipped.  Residual means on standardized labels land here once
@@ -89,6 +89,41 @@ def _mse(residuals: np.ndarray) -> float:
     return float(np.mean(residuals * residuals))
 
 
+def _boost(
+    Xs: Sequence[np.ndarray],
+    residuals: list[np.ndarray],
+    rounds: int,
+    learning_rate: float,
+    lam: float,
+    used: set[int],
+    params: TreeParams,
+    on_round: Optional[Callable[[int, list[np.ndarray]], None]],
+) -> tuple[list[MultitaskTree], list[list[float]]]:
+    """The boosting loop of both stages, over one or more tasks.
+
+    Grows up to ``rounds`` shared trees on the current ``residuals``,
+    updating them and ``used`` in place, and calls ``on_round`` (if given)
+    with the tree count and the live residuals after each accepted round.
+    Returns the accepted trees and the per-task training MSE after each.  A
+    round producing a single leaf with every value ~0 is skipped; since
+    nothing changed, every later round would repeat it, so the loop exits.
+    """
+    trees: list[MultitaskTree] = []
+    history: list[list[float]] = []
+    for _ in range(rounds):
+        tree = grow_multitask_tree(Xs, residuals, used, lam, params)
+        if tree.is_stump_leaf and all(abs(v) <= DEGENERATE_TOL for v in tree.values[0]):
+            break
+        trees.append(tree)
+        used |= tree.features_used
+        for t, X in enumerate(Xs):
+            residuals[t] -= learning_rate * tree.predict(t, X)
+        history.append([_mse(r) for r in residuals])
+        if on_round is not None:
+            on_round(len(trees), residuals)
+    return trees, history
+
+
 def fit_single_task(
     X: np.ndarray,
     y: np.ndarray,
@@ -98,31 +133,21 @@ def fit_single_task(
     used: Optional[set[int]] = None,
     params: Optional[TreeParams] = None,
     on_round: Optional[Callable[[int, np.ndarray], None]] = None,
-) -> tuple[list[Tree], set[int], list[float]]:
+) -> tuple[list[MultitaskTree], set[int], list[float]]:
     """Plain single-task gradient boosting on squared error.
 
-    Returns the accepted trees, the final used-feature set (a mutated copy
-    of ``used``), and the training MSE after each accepted round.  A round
-    producing a single leaf with value ~0 is skipped; since nothing changed,
-    every later round would repeat it, so the loop exits early.
+    Returns the accepted T=1 trees, the final used-feature set (a mutated
+    copy of ``used``), and the training MSE after each accepted round.
     """
-    if params is None:
-        params = TreeParams()
     used_now = set(used) if used is not None else set()
-    residuals = y.astype(np.float64).copy()
-    trees: list[Tree] = []
-    history: list[float] = []
-    for _ in range(rounds):
-        tree = grow_tree(X, residuals, used_now, lam, params)
-        if tree.is_stump_leaf and abs(tree.value[0]) <= DEGENERATE_TOL:
-            break
-        trees.append(tree)
-        used_now |= tree.features_used
-        residuals -= learning_rate * tree.predict(X)
-        history.append(_mse(residuals))
-        if on_round is not None:
-            on_round(len(trees), residuals.copy())
-    return trees, used_now, history
+    cb = None
+    if on_round is not None:
+        cb = lambda b, res: on_round(b, res[0].copy())
+    residuals = [np.array(y, dtype=np.float64)]
+    trees, history = _boost(
+        [X], residuals, rounds, learning_rate, lam, used_now, params or TreeParams(), cb
+    )
+    return trees, used_now, [h[0] for h in history]
 
 
 @dataclass
@@ -133,7 +158,7 @@ class BoutsModel:
     feature_names: list[str]
     task_names: list[str]
     universal_trees: list[MultitaskTree]
-    task_trees: list[list[Tree]]
+    task_trees: list[list[MultitaskTree]]  # T=1 trees
     f0: list[float]
     universal_mse: list[list[float]] = field(default_factory=list)  # per round, per task
     task_mse: list[list[float]] = field(default_factory=list)  # per task, per round
@@ -166,7 +191,7 @@ class BoutsModel:
         for mtree in self.universal_trees:
             out += beta * mtree.predict(t, X)
         for tree in self.task_trees[t]:
-            out += beta * tree.predict(X)
+            out += beta * tree.predict(0, X)
         return out
 
     def to_dict(self) -> dict:
@@ -176,19 +201,37 @@ class BoutsModel:
             "task_names": self.task_names,
             "f0": self.f0,
             "universal_trees": [t.to_dict() for t in self.universal_trees],
-            "task_trees": [[t.to_dict() for t in trees] for trees in self.task_trees],
+            "task_trees": [[t.to_dict(scalar=True) for t in trees] for trees in self.task_trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoutsModel":
-        return cls(
+        """Decode a saved model.
+
+        Raises DataError when the parts disagree on the number of tasks or
+        a tree is malformed (see ``MultitaskTree.from_dict``); a missing key
+        raises KeyError and a mistyped value TypeError or ValueError.
+        """
+        T, n_features = len(d["task_names"]), len(d["feature_names"])
+        model = cls(
             config=BoostConfig.from_dict(d["config"]),
             feature_names=list(d["feature_names"]),
             task_names=list(d["task_names"]),
-            universal_trees=[MultitaskTree.from_dict(t) for t in d["universal_trees"]],
-            task_trees=[[Tree.from_dict(t) for t in trees] for trees in d["task_trees"]],
+            universal_trees=[
+                MultitaskTree.from_dict(tree, n_features, T) for tree in d["universal_trees"]
+            ],
+            task_trees=[
+                [MultitaskTree.from_dict(tree, n_features, 1) for tree in trees]
+                for trees in d["task_trees"]
+            ],
             f0=[float(v) for v in d["f0"]],
         )
+        if len(model.f0) != T or len(model.task_trees) != T:
+            raise DataError(
+                f"{T} tasks but {len(model.f0)} f0 entries and {len(model.task_trees)} "
+                "stage-2 tree lists"
+            )
+        return model
 
 
 def fit(
@@ -213,41 +256,25 @@ def fit(
         ys.append(task.y[idx])
 
     residuals = [y.copy() for y in ys]
-    universal_trees: list[MultitaskTree] = []
     universal_used: set[int] = set()
-    universal_mse: list[list[float]] = []
     beta = config.learning_rate
+    cb = None
+    if on_round is not None:
+        cb = lambda b, res: on_round("universal", b, [r.copy() for r in res])
+    universal_trees, universal_mse = _boost(
+        Xs, residuals, config.rounds_universal, beta, config.lambda_u, universal_used,
+        config.tree, cb,
+    )
 
-    for _ in range(config.rounds_universal):
-        tree = grow_multitask_tree(Xs, residuals, universal_used, config.lambda_u, config.tree)
-        if tree.is_stump_leaf and all(abs(v) <= DEGENERATE_TOL for v in tree.values[0]):
-            # Inputs are unchanged, so every later round would grow the
-            # identical degenerate tree; stop early.
-            break
-        universal_trees.append(tree)
-        universal_used |= tree.features_used
-        for t in range(T):
-            residuals[t] -= beta * tree.predict(t, Xs[t])
-        universal_mse.append([_mse(r) for r in residuals])
-        if on_round is not None:
-            on_round("universal", len(universal_trees), [r.copy() for r in residuals])
-
-    task_trees: list[list[Tree]] = []
+    task_trees: list[list[MultitaskTree]] = []
     task_mse: list[list[float]] = []
     for t in range(T):
-        lam = config.lambda_for_task(t, T)
         cb = None
         if on_round is not None:
             cb = lambda b, r, _t=t: on_round("task", (_t, b), r)
+        lam = config.lambda_for_task(t, T)
         trees, _, history = fit_single_task(
-            Xs[t],
-            residuals[t],
-            config.rounds_task,
-            beta,
-            lam,
-            used=universal_used,
-            params=config.tree,
-            on_round=cb,
+            Xs[t], residuals[t], config.rounds_task, beta, lam, universal_used, config.tree, cb
         )
         task_trees.append(trees)
         task_mse.append(history)
@@ -278,14 +305,13 @@ def task_specific_features(model: BoutsModel, t: int) -> list[str]:
 def feature_importances(model: BoutsModel, t: int) -> dict[str, float]:
     """Share of total raw split gain per feature for task t's trees."""
     totals: dict[int, float] = {}
-    for mtree in model.universal_trees:
-        for i in range(mtree.n_nodes):
-            if not mtree.is_leaf(i):
-                totals[mtree.feature[i]] = totals.get(mtree.feature[i], 0.0) + mtree.gains[i][t]
-    for tree in model.task_trees[t]:
+    # Universal trees carry task t's gains in column t; stage-2 trees are T=1.
+    components = [(tree, t) for tree in model.universal_trees]
+    components += [(tree, 0) for tree in model.task_trees[t]]
+    for tree, k in components:
         for i in range(tree.n_nodes):
             if not tree.is_leaf(i):
-                totals[tree.feature[i]] = totals.get(tree.feature[i], 0.0) + tree.gain[i]
+                totals[tree.feature[i]] = totals.get(tree.feature[i], 0.0) + tree.gains[i][k]
     grand = sum(totals.values())
     if grand <= 0.0:
         return {}

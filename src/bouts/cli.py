@@ -293,10 +293,30 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
+    """Decode a model.json bundle: the model and one standardizer per task.
+
+    Any defect in the file is a data error that names it.
+    """
+    try:
+        with open(path) as fh:
+            bundle = json.load(fh)
+        model = BoutsModel.from_dict(bundle["model"])
+        standardizers = [
+            Standardizer.from_dict(bundle["standardizers"][name]) for name in model.task_names
+        ]
+        d = len(model.feature_names)
+        for name, st in zip(model.task_names, standardizers):
+            if st.x_mean.shape != (d,) or st.x_std.shape != (d,):
+                raise DataError(f"standardizer of task {name!r} does not have {d} features")
+    except (AttributeError, DataError, KeyError, TypeError, ValueError) as e:
+        problem = f"missing key {e}" if isinstance(e, KeyError) else e
+        raise DataError(f"{path}: invalid model file: {problem}") from None
+    return model, standardizers
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
-    with open(args.model) as fh:
-        bundle = json.load(fh)
-    model = BoutsModel.from_dict(bundle["model"])
+    model, standardizers = _load_model(args.model)
     if args.task is not None:
         task_name = args.task
     elif len(model.task_names) == 1:
@@ -306,7 +326,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if task_name not in model.task_names:
         raise DataError(f"unknown task {task_name!r}; model covers {model.task_names}")
     t = model.task_names.index(task_name)
-    standardizer = Standardizer.from_dict(bundle["standardizers"][task_name])
+    standardizer = standardizers[t]
 
     task = load_task_csv(args.data, task_name)
     pos = {f: i for i, f in enumerate(task.feature_names)}

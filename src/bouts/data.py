@@ -2,7 +2,8 @@
 
 CSV convention: header row, first column is the sample id, last column the
 target, everything between is a feature.  Empty cells and the literal "NaN"
-parse as NaN; NaN targets are rejected.
+parse as NaN; NaN targets, infinite cells and duplicate feature headers are
+rejected.
 
 The train/validation/test split stratifies by membership signature: sample
 ids are grouped by the exact subset of tasks containing them, each group is
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 RATIOS = (0.7, 0.2, 0.1)
-PARTITIONS = ("train", "val", "test")
 
 
 @dataclass
@@ -118,7 +118,11 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
         if len(header) < 3:
             raise DataError(f"{path}: need at least id, one feature, and target columns")
         feature_names = [h.strip() for h in header[1:-1]]
+        if len(set(feature_names)) != len(feature_names):
+            dup = _first_duplicate(feature_names)
+            raise DataError(f"{path}: duplicate feature column {dup!r}")
         ids: list[str] = []
+        line_numbers: list[int] = []
         rows: list[list[float]] = []
         targets: list[float] = []
         width = len(header)
@@ -128,6 +132,7 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
             if len(record) != width:
                 raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
             ids.append(record[0].strip())
+            line_numbers.append(r)
             rows.append([_parse_cell(c, path, r, j + 2) for j, c in enumerate(record[1:-1])])
             target = _parse_cell(record[-1], path, r, width)
             if math.isnan(target):
@@ -135,13 +140,15 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
             targets.append(target)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return TaskDataset(
-        name=name,
-        feature_names=feature_names,
-        X=np.array(rows, dtype=np.float64),
-        y=np.array(targets, dtype=np.float64),
-        sample_ids=ids,
-    )
+    X = np.array(rows, dtype=np.float64)
+    y = np.array(targets, dtype=np.float64)
+    inf_rows = np.flatnonzero(np.isinf(X).any(axis=1) | np.isinf(y))
+    if len(inf_rows):
+        i = int(inf_rows[0])
+        j = int(np.flatnonzero(np.isinf(np.append(X[i], y[i])))[0])
+        column = (feature_names + [header[-1].strip()])[j]
+        raise DataError(f"{path}: row {line_numbers[i]}, column {column!r}: infinite value")
+    return TaskDataset(name=name, feature_names=feature_names, X=X, y=y, sample_ids=ids)
 
 
 def prune_features(task: TaskDataset) -> TaskDataset:
@@ -194,9 +201,6 @@ class SplitAssignment:
     train: list[np.ndarray]
     val: list[np.ndarray]
     test: list[np.ndarray]
-
-    def partition(self, name: str) -> list[np.ndarray]:
-        return {"train": self.train, "val": self.val, "test": self.test}[name]
 
     def to_dict(self, tasks: Sequence[TaskDataset]) -> dict:
         out: dict = {"seed": self.seed, "tasks": {}}

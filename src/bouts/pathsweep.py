@@ -127,13 +127,6 @@ class SelectedPenalty:
     warning: bool  # True when even the smallest penalty violates the cutoff
 
 
-def _boost_predictions(trees, X: np.ndarray, beta: float) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    for tree in trees:
-        out += beta * tree.predict(X)
-    return out
-
-
 def downstream_scores(
     dataset: MultitaskDataset,
     split: SplitAssignment,
@@ -175,11 +168,11 @@ def downstream_scores(
             done = 0
             for mark in marks:
                 for tree in trees[done:mark]:
-                    f_tr += beta * tree.predict(Xtr)
+                    f_tr += beta * tree.predict(0, Xtr)
                     if len(yva):
-                        f_va += beta * tree.predict(Xva)
+                        f_va += beta * tree.predict(0, Xva)
                     if len(yte):
-                        f_te += beta * tree.predict(Xte)
+                        f_te += beta * tree.predict(0, Xte)
                 done = mark
                 val_mse = (
                     float(np.mean((yva - f_va) ** 2)) if len(yva) else float(np.mean((ytr - f_tr) ** 2))

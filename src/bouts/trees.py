@@ -1,20 +1,24 @@
-"""Single-task CART regression trees with a penalty on newly introduced features.
+"""Split scoring for one task's samples at one tree node.
 
 Split quality is an impurity decrease (intra-node variance) or the Friedman
 improvement score, minus a fixed charge ``lam`` whenever the candidate feature
 is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
+
+``scan_columns`` scores every feature at once with prefix sums;
+``best_on_feature`` and ``raw_gain`` re-score from the definition where the
+scan cannot be trusted to order near-ties.  The only tree built on these
+scores, and the only split search, live in ``multitask`` (a single-task tree
+is its T=1 case).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional
+from dataclasses import dataclass
+from typing import AbstractSet, Optional
 
 import numpy as np
-
-from .errors import NumericalError
 
 VARIANCE = "variance"
 FRIEDMAN = "friedman"
@@ -68,19 +72,6 @@ class NodeView:
 
     def __len__(self) -> int:
         return len(self.y)
-
-
-@dataclass(frozen=True)
-class SplitCandidate:
-    feature: int
-    threshold: float
-    gain: float  # penalized gain, the quantity that was maximized
-    raw_gain: float  # same split scored without the new-feature charge
-
-
-def impurity(node: NodeView, criterion: str = VARIANCE) -> float:
-    """Population variance of the node targets (the MSE impurity)."""
-    return float(np.var(node.y))
 
 
 def raw_gain(node: NodeView, f: int, v: float, criterion: str = VARIANCE) -> float:
@@ -200,218 +191,3 @@ def best_on_feature(
         if best is None or g > best[0]:
             best = (float(g), float(v))
     return best
-
-
-def best_split_single(
-    node: NodeView,
-    used: AbstractSet[int],
-    lam: float,
-    params: TreeParams,
-) -> Optional[SplitCandidate]:
-    """Argmax of the penalized gain over every (feature, midpoint) candidate.
-
-    Returns None when the best penalized gain is <= ``params.min_gain``
-    (the node becomes a leaf).  Ties resolve to the lowest feature index,
-    then the lowest threshold.  The scan locates the winner; any candidate
-    within the tie margin is re-decided with the definition-based ops, and
-    the reported gains always come from those ops.
-    """
-    d = node.X.shape[1]
-    raw, thresholds, ambiguous = scan_columns(
-        node.X, node.y, params.min_samples_leaf, params.criterion
-    )
-    new = np.ones(d, dtype=bool)
-    if used:
-        new[list(used)] = False
-    charges = np.where(new, lam, 0.0)
-    pen = raw - charges
-    pen[~np.isfinite(raw)] = -np.inf
-    s_max = float(np.max(pen)) if d else -np.inf
-    if not np.isfinite(s_max):
-        return None
-    tol = TIE_MARGIN * max(1.0, abs(s_max))
-    if s_max <= params.min_gain - tol:
-        return None
-    shortlist = np.flatnonzero(np.isfinite(pen) & (pen >= s_max - tol))
-    best = None  # (penalized gain, feature, threshold, raw), definition arithmetic
-    for f in shortlist:
-        f = int(f)
-        charge = float(charges[f])
-        if ambiguous[f]:
-            resolved = best_on_feature(node, f, charge, params.min_samples_leaf, params.criterion)
-            if resolved is None:
-                continue
-            g_pen, v = resolved
-            g_raw = float(raw_gain(node, f, v, params.criterion))
-        else:
-            v = float(thresholds[f])
-            g_raw = float(raw_gain(node, f, v, params.criterion))
-            g_pen = g_raw - charge
-        if best is None or g_pen > best[0]:
-            best = (g_pen, f, v, g_raw)
-    if best is None or best[0] <= params.min_gain:
-        return None
-    pen_gain, f, v, raw_best = best
-    return SplitCandidate(f, v, pen_gain, raw_best)
-
-
-@dataclass
-class Tree:
-    """A regression tree stored as parallel node arrays (index 0 is the root).
-
-    ``feature[i] == -1`` marks a leaf; internal nodes carry the split feature,
-    threshold, child indices, and the raw/penalized gains achieved when the
-    split was chosen.
-    """
-
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-    gain: list[float] = field(default_factory=list)
-    penalized_gain: list[float] = field(default_factory=list)
-
-    LEAF = -1
-
-    @property
-    def features_used(self) -> set[int]:
-        return {f for f in self.feature if f != self.LEAF}
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-    def is_leaf(self, i: int) -> bool:
-        return self.feature[i] == self.LEAF
-
-    @property
-    def is_stump_leaf(self) -> bool:
-        """True when the whole tree is a single leaf."""
-        return self.n_nodes == 1 and self.is_leaf(0)
-
-    def add_leaf(self, value: float) -> int:
-        self.feature.append(self.LEAF)
-        self.threshold.append(0.0)
-        self.left.append(self.LEAF)
-        self.right.append(self.LEAF)
-        self.value.append(float(value))
-        self.gain.append(0.0)
-        self.penalized_gain.append(0.0)
-        return len(self.feature) - 1
-
-    def add_internal(self, f: int, v: float, g: float, pg: float) -> int:
-        self.feature.append(int(f))
-        self.threshold.append(float(v))
-        self.left.append(self.LEAF)
-        self.right.append(self.LEAF)
-        self.value.append(float("nan"))
-        self.gain.append(float(g))
-        self.penalized_gain.append(float(pg))
-        return len(self.feature) - 1
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized prediction for a matrix of samples."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            i, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.is_leaf(i):
-                out[idx] = self.value[i]
-                continue
-            col = X[idx, self.feature[i]]
-            if np.isnan(col).any():
-                raise NumericalError(f"NaN at feature index {self.feature[i]} during prediction")
-            go_left = col <= self.threshold[i]
-            stack.append((self.left[i], idx[go_left]))
-            stack.append((self.right[i], idx[~go_left]))
-        return out
-
-    def to_dict(self) -> dict:
-        nodes = []
-        for i in range(self.n_nodes):
-            if self.is_leaf(i):
-                nodes.append({"value": self.value[i]})
-            else:
-                nodes.append(
-                    {
-                        "feature": self.feature[i],
-                        "threshold": self.threshold[i],
-                        "left": self.left[i],
-                        "right": self.right[i],
-                        "gain": self.gain[i],
-                        "penalized_gain": self.penalized_gain[i],
-                    }
-                )
-        return {"nodes": nodes}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Tree":
-        tree = cls()
-        for node in d["nodes"]:
-            if "value" in node:
-                tree.add_leaf(node["value"])
-            else:
-                j = tree.add_internal(
-                    node["feature"], node["threshold"], node["gain"], node["penalized_gain"]
-                )
-                tree.left[j] = node["left"]
-                tree.right[j] = node["right"]
-        return tree
-
-
-def predict_tree(tree: Tree, x: np.ndarray) -> float:
-    """Route a single sample to its leaf; ties at the threshold go left."""
-    i = 0
-    while not tree.is_leaf(i):
-        f = tree.feature[i]
-        xf = x[f]
-        if np.isnan(xf):
-            raise NumericalError(f"NaN at feature index {f} during prediction")
-        i = tree.left[i] if xf <= tree.threshold[i] else tree.right[i]
-    return tree.value[i]
-
-
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    used: AbstractSet[int] = frozenset(),
-    lam: float = 0.0,
-    params: Optional[TreeParams] = None,
-) -> Tree:
-    """Grow a tree depth-first; leaf values are target means.
-
-    A feature introduced at an ancestor node counts as used for every
-    descendant split, so the charge ``lam`` applies once per feature the
-    tree adds to the model.
-    """
-    if params is None:
-        params = TreeParams()
-    if len(y) == 0:
-        raise ValueError("cannot grow a tree on zero samples")
-    used_now = set(used)
-    tree = Tree()
-
-    def build(idx: np.ndarray, depth: int) -> int:
-        node_y = y[idx]
-        if depth >= params.max_depth or idx.size < 2 * params.min_samples_leaf:
-            return tree.add_leaf(float(np.mean(node_y)))
-        cand = best_split_single(NodeView(X[idx], node_y), used_now, lam, params)
-        if cand is None:
-            return tree.add_leaf(float(np.mean(node_y)))
-        used_now.add(cand.feature)
-        i = tree.add_internal(cand.feature, cand.threshold, cand.raw_gain, cand.gain)
-        go_left = X[idx, cand.feature] <= cand.threshold
-        tree.left[i] = build(idx[go_left], depth + 1)
-        tree.right[i] = build(idx[~go_left], depth + 1)
-        return i
-
-    build(np.arange(len(y)), 0)
-    return tree
-
-
-def iter_internal(tree: Tree) -> Iterable[int]:
-    return (i for i in range(tree.n_nodes) if not tree.is_leaf(i))

@@ -38,7 +38,6 @@ from bouts.trees import (
     CRITERIA,
     NodeView,
     TreeParams,
-    best_split_single,
     penalized_gain,
     raw_gain,
 )
@@ -167,7 +166,7 @@ def test_a1_split_oracle_equivalence():
             criterion=str(rng.choice(CRITERIA)),
         )
         node = NodeView(X, y)
-        got = best_split_single(node, used, lam, params)
+        got = maximin_split(MultitaskNodeView((X,), (y,)), used, lam, params)
         want = enumerate_best_single(node, used, lam, params)
         if want is None:
             assert got is None
@@ -175,9 +174,9 @@ def test_a1_split_oracle_equivalence():
         w_gain, w_f, w_v, w_raw = want
         assert got is not None
         assert got.feature == w_f
-        assert got.threshold == w_v
-        assert abs(got.gain - w_gain) <= GAIN_TOL
-        assert abs(got.raw_gain - w_raw) <= GAIN_TOL
+        assert got.thresholds[0] == w_v
+        assert abs(got.gains[0] - w_gain) <= GAIN_TOL
+        assert abs(got.raw_gains[0] - w_raw) <= GAIN_TOL
         n_splits += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -581,7 +580,7 @@ def test_a8_degeneration_equivalences():
     )
     assert len(model1.universal_trees) == len(trees) > 0
     for mtree, tree in zip(model1.universal_trees, trees):
-        assert mtree.task_tree(0).to_dict() == tree.to_dict()
+        assert mtree.to_dict() == tree.to_dict()
 
     # No universal stage: the two-stage fit must equal independent per-task
     # boosting, prediction for prediction.
@@ -617,7 +616,7 @@ def test_a8_degeneration_equivalences():
         assert model2.task_feature_indices(t) == used
         expected = np.zeros(task.n_samples)
         for tree in trees:
-            expected += 0.1 * tree.predict(task.X)
+            expected += 0.1 * tree.predict(0, task.X)
         diff = float(np.max(np.abs(model2.predict(t, task.X) - expected)))
         worst = max(worst, diff)
         assert diff <= PREDICTION_TOL

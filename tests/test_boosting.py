@@ -15,7 +15,7 @@ from bouts.boosting import (
 from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset
 from bouts.errors import DataError
 from bouts.multitask import MultitaskTree
-from bouts.trees import Tree, TreeParams
+from bouts.trees import TreeParams
 
 STUMPS = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=1e-7)
 
@@ -110,7 +110,7 @@ class TestFitSingleTask:
         trees, used, history = fit_single_task(X, np.full(2, 5.0), 3, 0.1, params=STUMPS)
         assert [t.is_stump_leaf for t in trees] == [True, True, True]
         assert used == set()
-        assert [t.value[0] for t in trees] == pytest.approx([5.0, 4.5, 4.05])
+        assert [t.values[0][0] for t in trees] == pytest.approx([5.0, 4.5, 4.05])
 
     def test_zero_target_stops_immediately(self):
         X = np.array([[1.0], [2.0]])
@@ -135,7 +135,7 @@ class TestFitSingleTask:
         assert [b for b, _ in seen] == list(range(1, len(trees) + 1))
         replay = y.astype(float).copy()
         for (b, captured), tree in zip(seen, trees):
-            replay -= 0.3 * tree.predict(X)
+            replay -= 0.3 * tree.predict(0, X)
             np.testing.assert_allclose(captured, replay, atol=1e-12)
 
     def test_penalty_excludes_weak_feature_once_strong_exists(self):
@@ -235,7 +235,7 @@ class TestFit:
         solo, _, _ = fit_single_task(X, y, 20, 0.1, lam=0.2, params=params)
         assert len(model.universal_trees) == len(solo)
         for mtree, tree in zip(model.universal_trees, solo):
-            assert mtree.task_tree(0).to_dict() == tree.to_dict()
+            assert mtree.to_dict() == tree.to_dict()
 
     def test_empty_training_partition_rejected(self):
         data = self.two_task_dataset()
@@ -282,9 +282,11 @@ def hand_built_model():
                 {"values": [0.0, 0.0]},
                 {"values": [1.0, 1.0]},
             ],
-        }
+        },
+        2,
+        2,
     )
-    stump = Tree.from_dict(
+    stump = MultitaskTree.from_dict(
         {
             "nodes": [
                 {"feature": 1, "threshold": 0.5, "left": 1, "right": 2,
@@ -292,7 +294,9 @@ def hand_built_model():
                 {"value": 0.0},
                 {"value": 1.0},
             ]
-        }
+        },
+        2,
+        1,
     )
     return BoutsModel(
         config=BoostConfig(),

@@ -20,7 +20,13 @@ import pytest
 from bouts import cli, pathsweep
 from bouts.boosting import BoutsModel
 from bouts.data import Standardizer, load_task_csv
+from bouts.multitask import MultitaskTree
 from bouts.schemas import load_schema
+
+# A model.json (2 tasks, 3 rounds of each stage), the task CSVs it scores and
+# the `bouts predict` output for each, written before single-task trees
+# became T=1 multitask trees; it pins the on-disk format across that change.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run(*args: str) -> int:
@@ -250,6 +256,83 @@ class TestPredictCommand:
         assert "lacks feature column 'f002'" in capsys.readouterr().err
 
 
+def _cyclic_root(model: dict) -> None:
+    root = model["universal_trees"][0]["nodes"][0]
+    assert "feature" in root
+    root["left"] = root["right"] = 0
+
+
+def _first_internal(trees: list) -> dict:
+    return next(n for tree in trees for n in tree["nodes"] if "feature" in n)
+
+
+# Each case damages a valid bundle in one way that must not reach routing.
+MANGLED_MODELS = {
+    "not_json": lambda bundle: "{this is not json",
+    "missing_config": lambda bundle: bundle["model"].pop("config"),
+    "feature_out_of_range": lambda bundle: _first_internal(
+        bundle["model"]["universal_trees"]
+    ).update(feature=len(bundle["model"]["feature_names"])),
+    "task_tree_feature_out_of_range": lambda bundle: _first_internal(
+        bundle["model"]["task_trees"][0]
+    ).update(feature=99),
+    "cyclic_root": lambda bundle: _cyclic_root(bundle["model"]),
+    "child_past_end": lambda bundle: _first_internal(
+        bundle["model"]["universal_trees"]
+    ).update(right=10_000),
+    "thresholds_length": lambda bundle: _first_internal(
+        bundle["model"]["universal_trees"]
+    ).update(thresholds=[0.0]),
+    "values_length": lambda bundle: bundle["model"]["universal_trees"][0]["nodes"][-1].update(
+        values=[0.0, 0.0, 0.0]
+    ),
+    "f0_length": lambda bundle: bundle["model"]["f0"].pop(),
+    "tree_not_object": lambda bundle: bundle["model"]["task_trees"][1].append([]),
+    "missing_standardizer": lambda bundle: bundle["standardizers"].pop("task0"),
+}
+
+
+class TestModelFile:
+    def test_legacy_fixture_predicts_and_reserializes_identically(self, tmp_path):
+        model_path = os.path.join(DATA_DIR, "model.json")
+        for task in ("task0", "task1"):
+            out = str(tmp_path / f"{task}.csv")
+            code = run(
+                "predict", "--model", model_path,
+                "--data", os.path.join(DATA_DIR, f"{task}.csv"),
+                "--task", task, "--out", out,
+            )
+            assert code == cli.EXIT_OK
+            assert read_bytes(out) == read_bytes(os.path.join(DATA_DIR, f"predict_{task}.csv"))
+        bundle = read_json(model_path)
+        bundle["model"] = BoutsModel.from_dict(bundle["model"]).to_dict()
+        again = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+        assert again.encode() == read_bytes(model_path)
+
+    @pytest.mark.parametrize("case", sorted(MANGLED_MODELS))
+    def test_mangled_model_exits_data(
+        self, case, synth_dir, fit_dir, tmp_path, capsys, monkeypatch
+    ):
+        bundle = read_json(os.path.join(fit_dir, "model.json"))
+        replaced = MANGLED_MODELS[case](bundle)
+        bad = tmp_path / "model.json"
+        bad.write_text(replaced if isinstance(replaced, str) else json.dumps(bundle))
+
+        def no_routing(*args, **kwargs):
+            raise AssertionError("a malformed model reached prediction")
+
+        monkeypatch.setattr(MultitaskTree, "predict", no_routing)
+        code = run(
+            "predict", "--model", str(bad),
+            "--data", os.path.join(synth_dir, "task0.csv"),
+            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert str(bad) in err
+        assert "Traceback" not in err
+
+
 class TestPathCommand:
     def test_writes_schema_valid_artifacts(self, synth_dir, tmp_path, monkeypatch):
         monkeypatch.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (10, 30))
@@ -362,6 +445,34 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate", "--out", "x")
         assert exc.value.code == cli.EXIT_USAGE
+
+    def _fit_one_csv(self, tmp_path, header, rows) -> int:
+        data = tmp_path / "one.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tasks": {"one": "one.csv"}}))
+        return run("fit", "--manifest", str(manifest), "--out", str(tmp_path / "out"))
+
+    def test_duplicate_feature_header_exits_data(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        header = ["id"] + [f"x{j}" for j in range(10)] + ["x3", "target"]
+        rows = [[f"s{i}"] + [repr(float(v)) for v in rng.random(12)] for i in range(20)]
+        code = self._fit_one_csv(tmp_path, header, rows)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "one.csv" in err and "duplicate feature column 'x3'" in err
+
+    def test_infinite_cell_exits_data(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        rows = [[f"s{i}"] + [repr(float(v)) for v in rng.random(3)] for i in range(20)]
+        rows[6][2] = "inf"
+        code = self._fit_one_csv(tmp_path, ["id", "x0", "x1", "target"], rows)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "one.csv: row 8, column 'x1': infinite value" in err
 
     def test_constant_target_exits_numerical(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -205,8 +205,8 @@ class TestOverlapSplit:
         task = make_task("t", [f"s{i}" for i in range(40)], np.zeros((40, 1)), np.arange(40.0))
         a = overlap_split([task], seed=11)
         b = overlap_split([task], seed=11)
-        for part in ("train", "val", "test"):
-            np.testing.assert_array_equal(a.partition(part)[0], b.partition(part)[0])
+        for part_a, part_b in ((a.train, b.train), (a.val, b.val), (a.test, b.test)):
+            np.testing.assert_array_equal(part_a[0], part_b[0])
 
     def test_different_seed_differs(self):
         task = make_task("t", [f"s{i}" for i in range(200)], np.zeros((200, 1)), np.arange(200.0))

@@ -9,7 +9,7 @@ from bouts.multitask import (
     grow_multitask_tree,
     maximin_split,
 )
-from bouts.trees import VARIANCE, NodeView, TreeParams, best_split_single, grow_tree
+from bouts.trees import VARIANCE, NodeView, TreeParams, penalized_gain
 
 LOOSE = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -58,8 +58,6 @@ def brute_force_maximin(node, used, lam, params):
                 if min(n_left, len(y) - n_left) < params.min_samples_leaf:
                     continue
                 single = NodeView(X, y)
-                from bouts.trees import penalized_gain
-
                 g = penalized_gain(single, f, v, used, lam, params.criterion)
                 if cand_best is None or g > cand_best[0]:
                     cand_best = (g, v)
@@ -76,11 +74,14 @@ def brute_force_maximin(node, used, lam, params):
 
 class TestMaximinSplit:
     def test_single_task_degenerates(self):
-        mt = maximin_split(view([(X4, Y4)]), frozenset(), 0.0, LOOSE)
-        single = best_split_single(NodeView(X4, Y4), frozenset(), 0.0, LOOSE)
-        assert mt.feature == single.feature
-        assert mt.thresholds[0] == single.threshold
-        assert mt.gains[0] == single.gain
+        # With one task the maximin score is that task's penalized gain.
+        mt = maximin_split(view([(X4, Y4)]), frozenset(), 0.3, LOOSE)
+        assert mt is None
+        mt = maximin_split(view([(X4, Y4)]), frozenset(), 0.1, LOOSE)
+        assert mt.feature == 0
+        assert mt.thresholds == (2.5,)
+        want = penalized_gain(NodeView(X4, Y4), 0, 2.5, frozenset(), 0.1, VARIANCE)
+        assert mt.gains[0] == want == mt.score
 
     def test_min_over_tasks_wins(self):
         # Per-task best raw gains f0:(0.25, 0.10), f1:(0.05, 0.30); the
@@ -161,18 +162,24 @@ class TestGrowMultitaskTree:
                 assert len(tree.thresholds[i]) == 3
 
     def test_t1_node_for_node_equals_single_task(self):
+        # A task duplicated T=2 times scores every split exactly as the
+        # T=1 tree does, so both trees agree node for node.
         rng = np.random.default_rng(14)
         X = rng.normal(size=(60, 4))
         y = np.sin(X[:, 1]) + 0.3 * X[:, 2] + rng.normal(size=60) * 0.1
         params = TreeParams(max_depth=3, min_samples_leaf=3, min_gain=1e-7)
         for lam in (0.0, 0.5):
-            mt = grow_multitask_tree([X], [y], lambda_u=lam, params=params)
-            st = grow_tree(X, y, lam=lam, params=params)
+            st = grow_multitask_tree([X], [y], lambda_u=lam, params=params)
+            mt = grow_multitask_tree([X, X], [y, y], lambda_u=lam, params=params)
+            assert st.n_tasks == 1
+            assert st.n_nodes > 1
             assert mt.feature == st.feature
-            assert [thr[0] for thr in mt.thresholds] == st.threshold
+            assert [thr[0] for thr in mt.thresholds] == [thr[0] for thr in st.thresholds]
             assert mt.left == st.left and mt.right == st.right
             # Internal nodes carry NaN values, so compare NaN-aware.
-            np.testing.assert_array_equal([val[0] for val in mt.values], st.value)
+            np.testing.assert_array_equal(
+                [val[0] for val in mt.values], [val[0] for val in st.values]
+            )
 
     def test_leaf_values_are_task_means(self):
         rng = np.random.default_rng(15)
@@ -191,17 +198,8 @@ class TestSerialization:
         Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [rng.normal(size=30) for _ in range(2)]
         tree = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
-        clone = MultitaskTree.from_dict(tree.to_dict())
+        clone = MultitaskTree.from_dict(tree.to_dict(), 3, 2)
         assert clone.feature == tree.feature
         assert clone.thresholds == tree.thresholds
         for t in range(2):
             assert np.allclose(clone.predict(t, Xs[t]), tree.predict(t, Xs[t]))
-
-    def test_task_tree_extraction(self):
-        rng = np.random.default_rng(17)
-        Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
-        ys = [rng.normal(size=30) for _ in range(2)]
-        tree = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
-        for t in range(2):
-            single = tree.task_tree(t)
-            assert np.allclose(single.predict(Xs[t]), tree.predict(t, Xs[t]))

@@ -1,21 +1,18 @@
-"""Single-task tree behavior: gains, split search, growth, prediction."""
+"""Single-task behavior: gains, and the split search, growth, prediction and
+serialization of the T=1 tree."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouts.errors import NumericalError
+from bouts.multitask import MultitaskNodeView, MultitaskTree, grow_multitask_tree, maximin_split
 from bouts.trees import (
     FRIEDMAN,
     VARIANCE,
     NodeView,
-    Tree,
     TreeParams,
-    best_split_single,
-    grow_tree,
-    impurity,
     penalized_gain,
-    predict_tree,
     raw_gain,
 )
 
@@ -28,15 +25,16 @@ def node(X, y):
     return NodeView(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
 
 
-class TestImpurity:
-    def test_pure_node_is_zero(self):
-        assert impurity(node([[0.0]] * 3, [1.0, 1.0, 1.0])) == 0.0
+def best_split(X, y, used, lam, params):
+    """The split search on a one-task node."""
+    view = MultitaskNodeView((np.asarray(X, dtype=float),), (np.asarray(y, dtype=float),))
+    return maximin_split(view, used, lam, params)
 
-    def test_half_split_targets(self):
-        assert impurity(node(X4, Y4)) == pytest.approx(0.25)
 
-    def test_singleton(self):
-        assert impurity(node([[3.0]], [3.0])) == 0.0
+def grow(X, y, lam=0.0, params=None):
+    """A T=1 tree grown on one task."""
+    return grow_multitask_tree([np.asarray(X, dtype=float)], [np.asarray(y, dtype=float)],
+                               lambda_u=lam, params=params)
 
 
 class TestRawGain:
@@ -91,39 +89,39 @@ class TestPenalizedGain:
 
 class TestBestSplitSingle:
     def test_basic_example(self):
-        cand = best_split_single(node(X4, Y4), frozenset(), 0.0, LOOSE)
+        cand = best_split(X4, Y4, frozenset(), 0.0, LOOSE)
         assert cand.feature == 0
-        assert cand.threshold == pytest.approx(2.5)
-        assert cand.gain == pytest.approx(0.25)
+        assert cand.thresholds[0] == pytest.approx(2.5)
+        assert cand.gains[0] == pytest.approx(0.25)
 
     def test_penalty_blocks_split(self):
-        assert best_split_single(node(X4, Y4), frozenset(), 0.3, LOOSE) is None
+        assert best_split(X4, Y4, frozenset(), 0.3, LOOSE) is None
 
     def test_tie_break_lowest_feature(self):
         X = np.hstack([X4, X4])
-        cand = best_split_single(node(X, Y4), frozenset(), 0.0, LOOSE)
+        cand = best_split(X, Y4, frozenset(), 0.0, LOOSE)
         assert cand.feature == 0
 
     def test_min_samples_leaf_respected(self):
         params = TreeParams(max_depth=1, min_samples_leaf=2, min_gain=0.0, criterion=VARIANCE)
-        cand = best_split_single(node(X4, np.array([0.0, 1.0, 1.0, 1.0])), frozenset(), 0.0, params)
+        cand = best_split(X4, np.array([0.0, 1.0, 1.0, 1.0]), frozenset(), 0.0, params)
         # v=1.5 would isolate one sample; the best 2-per-side split remains.
-        assert cand.threshold == pytest.approx(2.5)
+        assert cand.thresholds[0] == pytest.approx(2.5)
 
     def test_no_split_on_constant_feature(self):
-        assert best_split_single(node([[1.0]] * 4, Y4), frozenset(), 0.0, LOOSE) is None
+        assert best_split([[1.0]] * 4, Y4, frozenset(), 0.0, LOOSE) is None
 
 
 class TestGrowTree:
     def test_pure_targets_single_leaf(self):
-        tree = grow_tree(X4, np.full(4, 7.0), params=LOOSE)
-        assert tree.is_stump_leaf and tree.value[0] == pytest.approx(7.0)
+        tree = grow(X4, np.full(4, 7.0), params=LOOSE)
+        assert tree.is_stump_leaf and tree.values[0][0] == pytest.approx(7.0)
 
     def test_stump_example(self):
-        tree = grow_tree(X4, Y4, params=LOOSE)
+        tree = grow(X4, Y4, params=LOOSE)
         assert tree.feature[0] == 0
-        assert tree.threshold[0] == pytest.approx(2.5)
-        leaves = sorted(tree.value[i] for i in (tree.left[0], tree.right[0]))
+        assert tree.thresholds[0][0] == pytest.approx(2.5)
+        leaves = sorted(tree.values[i][0] for i in (tree.left[0], tree.right[0]))
         assert leaves == pytest.approx([0.0, 1.0])
         assert tree.features_used == {0}
 
@@ -133,17 +131,17 @@ class TestGrowTree:
         X = np.arange(8.0).reshape(-1, 1)
         y = np.array([0.0, 1.0, 10.0, 11.0, 100.0, 101.0, 110.0, 111.0])
         params = TreeParams(max_depth=3, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
-        tree = grow_tree(X, y, params=params)
-        assert np.allclose(tree.predict(X), y)
+        tree = grow(X, y, params=params)
+        assert np.allclose(tree.predict(0, X), y)
 
     def test_depth_limit(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(64, 3))
         y = rng.normal(size=64)
         params = TreeParams(max_depth=2, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
-        tree = grow_tree(X, y, params=params)
+        tree = grow(X, y, params=params)
         # Depth 2 allows at most 3 internal nodes.
-        assert sum(1 for f in tree.feature if f != Tree.LEAF) <= 3
+        assert sum(1 for f in tree.feature if f != MultitaskTree.LEAF) <= 3
 
     def test_ancestor_feature_counts_as_used(self):
         # Pick a penalty above every sub-root raw gain but below the root
@@ -154,13 +152,13 @@ class TestGrowTree:
         X = rng.normal(size=(64, 2))
         y = 3.0 * X[:, 0]
         params = TreeParams(max_depth=3, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
-        free = grow_tree(X, y, params=params)
+        free = grow(X, y, params=params)
         internal = [i for i in range(free.n_nodes) if not free.is_leaf(i)]
-        root_gain = free.gain[0]
-        deeper_max = max(free.gain[i] for i in internal if i != 0)
+        root_gain = free.gains[0][0]
+        deeper_max = max(free.gains[i][0] for i in internal if i != 0)
         assert deeper_max < root_gain
         lam = (deeper_max + root_gain) / 2.0
-        tree = grow_tree(X, y, lam=lam, params=params)
+        tree = grow(X, y, lam=lam, params=params)
         deep_internal = [i for i in range(tree.n_nodes) if not tree.is_leaf(i) and i != 0]
         assert tree.feature[0] == 0
         assert deep_internal, "reused feature should split below the root penalty-free"
@@ -172,48 +170,46 @@ class TestGrowTree:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
-        tree = grow_tree(X, y, params=TreeParams(min_samples_leaf=2, criterion=VARIANCE))
-        base = float(np.mean((y - tree.predict(X)) ** 2))
+        tree = grow(X, y, params=TreeParams(min_samples_leaf=2, criterion=VARIANCE))
+        base = float(np.mean((y - tree.predict(0, X)) ** 2))
         for i in range(tree.n_nodes):
             if not tree.is_leaf(i):
                 continue
-            original = tree.value[i]
+            original = tree.values[i][0]
             for bump in (0.1, -0.3):
-                tree.value[i] = original + bump
-                assert float(np.mean((y - tree.predict(X)) ** 2)) >= base - 1e-12
-            tree.value[i] = original
+                tree.values[i][0] = original + bump
+                assert float(np.mean((y - tree.predict(0, X)) ** 2)) >= base - 1e-12
+            tree.values[i][0] = original
 
 
 class TestPredict:
     def test_single_leaf_constant(self):
-        tree = Tree()
-        tree.add_leaf(2.0)
-        assert predict_tree(tree, np.array([123.0])) == 2.0
+        tree = MultitaskTree(n_tasks=1)
+        tree.add_leaf([2.0])
+        assert tree.predict(0, np.array([[123.0]]))[0] == 2.0
 
     def test_stump_routing(self):
-        tree = grow_tree(X4, Y4, params=LOOSE)
-        assert predict_tree(tree, np.array([1.0])) == pytest.approx(0.0)
-        assert predict_tree(tree, np.array([4.0])) == pytest.approx(1.0)
+        tree = grow(X4, Y4, params=LOOSE)
+        assert tree.predict(0, np.array([[1.0], [4.0]])) == pytest.approx([0.0, 1.0])
 
     def test_boundary_goes_left(self):
-        tree = grow_tree(X4, Y4, params=LOOSE)
-        assert predict_tree(tree, np.array([2.5])) == pytest.approx(0.0)
-        assert tree.predict(np.array([[2.5]]))[0] == pytest.approx(0.0)
+        tree = grow(X4, Y4, params=LOOSE)
+        assert tree.predict(0, np.array([[2.5]]))[0] == pytest.approx(0.0)
 
     def test_nan_at_referenced_feature_errors(self):
-        tree = grow_tree(X4, Y4, params=LOOSE)
+        tree = grow(X4, Y4, params=LOOSE)
         with pytest.raises(NumericalError):
-            predict_tree(tree, np.array([np.nan]))
+            tree.predict(0, np.array([[np.nan]]))
         with pytest.raises(NumericalError):
-            tree.predict(np.array([[np.nan]]))
+            tree.predict(0, np.array([[1.0], [np.nan]]))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
-        tree = grow_tree(X, y, params=TreeParams(min_samples_leaf=2))
-        batch = tree.predict(X)
-        singles = [predict_tree(tree, X[i]) for i in range(len(y))]
+        tree = grow(X, y, params=TreeParams(min_samples_leaf=2))
+        batch = tree.predict(0, X)
+        singles = [tree.predict(0, X[i : i + 1])[0] for i in range(len(y))]
         assert np.allclose(batch, singles)
 
 
@@ -222,9 +218,14 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
-        tree = grow_tree(X, y, params=TreeParams(min_samples_leaf=2))
-        clone = Tree.from_dict(tree.to_dict())
+        tree = grow(X, y, params=TreeParams(min_samples_leaf=2))
+        encoded = tree.to_dict(scalar=True)
+        assert "n_tasks" not in encoded
+        assert {"value"} in [set(n) for n in encoded["nodes"]]
+        clone = MultitaskTree.from_dict(encoded, 3, 1)
+        assert clone.n_tasks == 1
         assert clone.feature == tree.feature
-        assert clone.threshold == tree.threshold
-        assert np.allclose(clone.predict(X), tree.predict(X))
+        assert clone.thresholds == tree.thresholds
+        assert np.allclose(clone.predict(0, X), tree.predict(0, X))
         assert clone.features_used == tree.features_used
+        assert clone.to_dict(scalar=True) == encoded
