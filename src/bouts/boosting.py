@@ -46,10 +46,10 @@ class BoostConfig:
             raise ValueError("need at least one boosting round across the two stages")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.lambda_u < 0:
-            raise ValueError("lambda_u must be >= 0")
+        if not self.lambda_u >= 0:  # NaN fails too; inf means "admit no new feature"
+            raise ValueError(f"lambda_u must be >= 0, got {self.lambda_u}")
         lams = self.lambda_task if _is_sequence(self.lambda_task) else [self.lambda_task]
-        if any(l < 0 for l in lams):
+        if not all(l >= 0 for l in lams):
             raise ValueError("lambda_task must be >= 0")
 
     def lambda_for_task(self, t: int, n_tasks: int) -> float:

@@ -1,8 +1,8 @@
 """Command-line surface: fit, path, stability, synth, predict.
 
-All subcommands share a JSON config file (``--config``) whose keys mirror
-the flag names; explicit flags win.  Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical error.
+``fit``, ``path`` and ``stability`` take only the options they read, as flags or as
+keys of a ``--config`` JSON file (flags win); an unknown key or a wrongly typed value
+is a usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .boosting import BoostConfig, BoutsModel, fit
 # The package root re-exports a function named ``stability``, which shadows
 # the submodule attribute, so pull the needed names straight from the module.
 from .stability import (
+    ALPHA,
     NORMALIZED,
     VARIANTS,
     cohens_d,
@@ -36,10 +37,9 @@ from .data import (
     split_to_json,
     standardize_dataset,
     Standardizer,
-    RATIOS,
 )
 from .errors import BoutsError, DataError, NumericalError
-from .trees import CRITERIA, FRIEDMAN, TreeParams
+from .trees import CRITERIA, TreeParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,11 +58,74 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    """Config-file values overridden by explicit flags (flags parsed as None
-    when absent)."""
-    cfg: dict = {}
-    if getattr(args, "config", None):
+INTEGER, NUMBER, STRING, BASE = "an integer", "a number", "a string", 'a number or "e"'
+NUMBERS, PENALTIES = "a list of numbers", "a number or a list of numbers"
+
+
+class Option(NamedTuple):
+    """One setting: its config key, its type, its flag (None when config-only)."""
+
+    key: str
+    kind: str  # the option's type, named as in error messages
+    flag: Optional[str] = None
+    choices: Optional[Sequence[str]] = None
+
+
+def _grid_base(text: str) -> float:
+    return math.e if text == "e" else float(text)
+
+
+FLAG_TYPES = {INTEGER: int, NUMBER: float, STRING: str, BASE: _grid_base}
+
+
+def _from_json(value, opt: Option):
+    """A config value as ``opt`` takes it; raises TypeError or ValueError if it is not one."""
+    number = {int, float}  # exact JSON types: a bool is not a number
+    if opt.kind == INTEGER and type(value) in number and value == int(value):
+        return int(value)
+    if opt.kind in (NUMBER, PENALTIES, BASE) and type(value) in number:
+        return float(value)
+    if opt.kind in (NUMBERS, PENALTIES) and type(value) is list and {*map(type, value)} <= number:
+        return [float(v) for v in value]
+    if opt.kind == BASE and isinstance(value, str) or opt.kind == STRING and value in opt.choices:
+        return FLAG_TYPES[opt.kind](value)
+    raise TypeError(opt.kind)
+
+
+# Each option is declared once; a subcommand registers the groups it reads.
+SEED = Option("seed", INTEGER, "--seed")
+SPLIT = (SEED, Option("ratios", NUMBERS))
+BOOST = (
+    Option("rounds_universal", INTEGER, "--rounds-universal"),
+    Option("rounds_task", INTEGER, "--rounds-task"),
+    Option("learning_rate", NUMBER, "--learning-rate"),
+    Option("lam", NUMBER, "--lambda"),
+    Option("lambda_u", NUMBER),
+    Option("lambda_task", PENALTIES),
+    Option("max_depth", INTEGER, "--max-depth"),
+    Option("min_samples_leaf", INTEGER, "--min-samples-leaf"),
+    Option("min_gain", NUMBER, "--min-gain"),
+    Option("criterion", STRING, "--criterion", CRITERIA),
+)
+PATH = (
+    Option("grid_points", INTEGER, "--grid-points"),
+    Option("grid_base", BASE, "--grid-base"),
+    Option("drop", NUMBER),
+)
+STABILITY = (
+    SEED,
+    Option("jobs", INTEGER, "--jobs"),
+    Option("replicates", INTEGER, "--replicates"),
+    Option("stability_variant", STRING, "--stability-variant", VARIANTS),
+    Option("alpha", NUMBER),
+)
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The options given: the config file's keys, overridden by the flags given."""
+    table = {opt.key: opt for opt in args.options}
+    settings: dict = {}
+    if "config" in args:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
@@ -70,60 +133,36 @@ def _merge_config(args: argparse.Namespace, keys: Sequence[str]) -> dict:
             raise DataError(f"cannot read config file {args.config}: {e}") from None
         if not isinstance(cfg, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
-    merged = dict(cfg)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+        for key, value in cfg.items():
+            if key not in table:
+                raise ValueError(f"config file {args.config}: {args.command} takes no key {key!r}")
+            opt = table[key]
+            try:
+                settings[key] = _from_json(value, opt)
+            except (TypeError, ValueError, OverflowError):
+                want = f"one of {opt.choices}" if opt.choices else opt.kind
+                raise ValueError(f"config file {args.config}: {key!r} must be {want}") from None
+    settings.update((key, value) for key, value in vars(args).items() if key in table)
+    return settings
 
 
-BOOST_KEYS = (
-    "rounds_universal",
-    "rounds_task",
-    "learning_rate",
-    "lam",
-    "lambda_u",
-    "lambda_task",
-    "max_depth",
-    "min_samples_leaf",
-    "min_gain",
-    "criterion",
-)
-COMMON_KEYS = BOOST_KEYS + (
-    "seed",
-    "jobs",
-    "ratios",
-    "grid_points",
-    "grid_base",
-    "stability_variant",
-    "replicates",
-    "alpha",
-)
+def _pick(settings: dict, *keys: str, **renamed: str) -> dict:
+    """Keyword arguments for the settings given; ``renamed`` maps argument to key."""
+    names = [*zip(keys, keys), *renamed.items()]
+    return {arg: settings[key] for arg, key in names if key in settings}
 
 
 def _boost_config(cfg: dict) -> BoostConfig:
-    tree = TreeParams(
-        max_depth=int(cfg.get("max_depth", 3)),
-        min_samples_leaf=int(cfg.get("min_samples_leaf", 5)),
-        min_gain=float(cfg.get("min_gain", 1e-7)),
-        criterion=str(cfg.get("criterion", FRIEDMAN)),
-    )
-    shared = cfg.get("lam", 0.0)
-    return BoostConfig(
-        rounds_universal=int(cfg.get("rounds_universal", 100)),
-        rounds_task=int(cfg.get("rounds_task", 100)),
-        learning_rate=float(cfg.get("learning_rate", 0.1)),
-        lambda_u=float(cfg.get("lambda_u", shared)),
-        lambda_task=cfg.get("lambda_task", float(shared)),
-        tree=tree,
-    )
+    # lambda_u and lambda_task fall back to the shared --lambda penalty.
+    shared = _pick(cfg, lambda_u="lam", lambda_task="lam")
+    own = _pick(cfg, "rounds_universal", "rounds_task", "learning_rate", "lambda_u", "lambda_task")
+    tree = TreeParams(**_pick(cfg, "max_depth", "min_samples_leaf", "min_gain", "criterion"))
+    return BoostConfig(tree=tree, **(shared | own))
 
 
 def _load_standardized(manifest: str, cfg: dict):
     dataset = load_manifest(manifest)
-    ratios = tuple(cfg.get("ratios", RATIOS))
-    split = overlap_split(dataset.tasks, ratios=ratios, seed=int(cfg.get("seed", 0)))
+    split = overlap_split(dataset.tasks, **_pick(cfg, "ratios", "seed"))
     standardized, standardizers = standardize_dataset(dataset, split)
     return dataset, standardized, standardizers, split
 
@@ -138,7 +177,7 @@ def _model_bundle(model: BoutsModel, standardizers: list[Standardizer]) -> dict:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, COMMON_KEYS)
+    cfg = _settings(args)
     config = _boost_config(cfg)
     dataset, standardized, standardizers, split = _load_standardized(args.manifest, cfg)
     model = fit(standardized, split, config)
@@ -178,14 +217,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_path(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, COMMON_KEYS)
+    cfg = _settings(args)
     config = _boost_config(cfg)
     _, standardized, _, split = _load_standardized(args.manifest, cfg)
-    base = cfg.get("grid_base", "e")
-    base_value = math.e if base in ("e", None) else float(base)
-    grid = pathsweep.log_grid(int(cfg.get("grid_points", 20)), base=base_value)
+    grid = pathsweep.log_grid(**_pick(cfg, n_points="grid_points", base="grid_base"))
     path = pathsweep.sweep(standardized, split, config, grid)
-    chosen = pathsweep.select_penalty(path, drop=float(cfg.get("drop", 0.10)))
+    chosen = pathsweep.select_penalty(path, **_pick(cfg, "drop"))
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "path.csv"), path.to_csv())
     _write_json(os.path.join(args.out, "path.json"), path.to_dict())
@@ -205,20 +242,12 @@ def cmd_path(args: argparse.Namespace) -> int:
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, COMMON_KEYS)
+    cfg = _settings(args)
     config = _boost_config(cfg)
     dataset = load_manifest(args.manifest)
     variant = cfg.get("stability_variant", NORMALIZED)
-    if variant not in VARIANTS:
-        raise DataError(f"stability_variant must be one of {VARIANTS}")
-    alpha = float(cfg.get("alpha", 0.05))
-    Z_u, Z_tasks = selection_replicates(
-        dataset,
-        config,
-        replicates=int(cfg.get("replicates", 100)),
-        seed=int(cfg.get("seed", 0)),
-        jobs=int(cfg.get("jobs", 1)),
-    )
+    alpha = cfg.get("alpha", ALPHA)
+    Z_u, Z_tasks = selection_replicates(dataset, config, **_pick(cfg, "replicates", "seed", "jobs"))
     report = {
         "variant": variant,
         "alpha": alpha,
@@ -286,7 +315,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         nonlinearity=args.nonlinearity,
         correlation_rho=args.rho,
         output_sign=signs,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     dataset, truth = synth_mod.generate(spec)
     synth_mod.write_outputs(dataset, truth, args.out)
@@ -345,36 +374,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, manifest: bool = True) -> None:
-    if manifest:
-        parser.add_argument("--manifest", required=True, help="JSON manifest of task CSVs")
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    parser.add_argument("--rounds-universal", dest="rounds_universal", type=int, default=None)
-    parser.add_argument("--rounds-task", dest="rounds_task", type=int, default=None)
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, default=None, help="shared feature penalty"
-    )
-    parser.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    parser.add_argument("--grid-base", dest="grid_base", default=None)
-    parser.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    parser.add_argument(
-        "--min-samples-leaf", dest="min_samples_leaf", type=int, default=None
-    )
-    parser.add_argument("--min-gain", dest="min_gain", type=float, default=None)
-    parser.add_argument("--criterion", choices=CRITERIA, default=None)
-    parser.add_argument(
-        "--stability-variant",
-        dest="stability_variant",
-        choices=VARIANTS,
-        default=None,
-    )
-    parser.add_argument("--replicates", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bouts",
@@ -382,17 +381,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit the selector and write reports")
-    _add_common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_path = sub.add_parser("path", help="sweep the penalty grid")
-    _add_common(p_path)
-    p_path.set_defaults(func=cmd_path)
-
-    p_stab = sub.add_parser("stability", help="replicate-split stability study")
-    _add_common(p_stab)
-    p_stab.set_defaults(func=cmd_stability)
+    for name, func, options, help_text in (
+        ("fit", cmd_fit, SPLIT + BOOST, "fit the selector and write reports"),
+        ("path", cmd_path, SPLIT + BOOST + PATH, "sweep the penalty grid"),
+        ("stability", cmd_stability, BOOST + STABILITY, "replicate-split stability study"),
+    ):
+        # A flag not given sets no attribute: the config file or the library decides.
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--manifest", required=True, help="JSON manifest of task CSVs")
+        cmd.add_argument("--out", required=True, help="output directory")
+        cmd.add_argument("--config", help="JSON config file; flags override its keys")
+        for opt in (opt for opt in options if opt.flag):
+            cmd.add_argument(opt.flag, dest=opt.key, type=FLAG_TYPES[opt.kind], choices=opt.choices)
+        cmd.set_defaults(func=func, options=options)
 
     p_synth = sub.add_parser("synth", help="generate planted-truth data")
     p_synth.add_argument("--out", required=True)
@@ -426,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as e:
+    except (DataError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:
@@ -435,9 +436,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, BoutsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

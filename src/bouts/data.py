@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -230,7 +231,7 @@ def overlap_split(
     seed: int = 0,
 ) -> SplitAssignment:
     """Leakage-free stratified split over possibly overlapping tasks."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if len(ratios) != 3 or not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError("ratios must be three positive numbers summing to 1")
     membership: dict[str, list[int]] = {}
     for t, task in enumerate(tasks):
@@ -344,20 +345,20 @@ def load_manifest(path: str) -> MultitaskDataset:
 
     Relative CSV paths resolve against the manifest's directory.
     """
-    import os
-
     with open(path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON manifest: {e}") from None
-    entries = manifest.get("tasks")
+    entries = manifest.get("tasks") if isinstance(manifest, dict) else None
     if not isinstance(entries, dict) or not entries:
         raise DataError(f"{path}: manifest must map task names to CSV paths under 'tasks'")
     base = os.path.dirname(os.path.abspath(path))
     tasks = []
     for name in sorted(entries):
         csv_path = entries[name]
+        if not isinstance(csv_path, str):
+            raise DataError(f"{path}: the CSV path of task {name!r} must be a string")
         if not os.path.isabs(csv_path):
             csv_path = os.path.join(base, csv_path)
         tasks.append(prune_features(load_task_csv(csv_path, name)))

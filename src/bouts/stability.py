@@ -33,6 +33,7 @@ from .errors import DataError, NumericalError
 
 PAPER_FORMULA = "paper_formula"
 NORMALIZED = "normalized"
+ALPHA = 0.05  # default significance level of the stability confidence interval
 VARIANTS = (PAPER_FORMULA, NORMALIZED)
 
 
@@ -144,7 +145,7 @@ def stability_variance(matrix: SelectionMatrix, variant: str = NORMALIZED) -> fl
 
 
 def stability_ci(
-    matrix: SelectionMatrix, alpha: float = 0.05, variant: str = NORMALIZED
+    matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
 ) -> tuple[float, float]:
     """Symmetric normal confidence interval around the stability estimate."""
     if not 0.0 < alpha < 1.0:
@@ -204,7 +205,7 @@ class StabilityReport:
 
 
 def make_report(
-    matrix: SelectionMatrix, alpha: float = 0.05, variant: str = NORMALIZED
+    matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
 ) -> StabilityReport:
     low, high = stability_ci(matrix, alpha, variant)
     return StabilityReport(
@@ -307,8 +308,8 @@ def selection_replicates(
     single-task selections (the no-universal-stage runs).  Replicate m uses
     split seed ``seed + m``, so results do not depend on ``jobs``.
     """
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates")
+    if replicates < 2 or jobs < 1:
+        raise ValueError(f"need at least 2 replicates and 1 job, got {replicates} and {jobs}")
     if config.rounds_universal < 1 or config.rounds_task < 1:
         raise ValueError(
             "stability replicates compare universal and single-task selections; "
@@ -318,7 +319,7 @@ def selection_replicates(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, replicates)) as pool:
             results = list(pool.map(_replicate_rows, [dataset] * replicates, [config] * replicates, seeds))
     else:
         results = [_replicate_rows(dataset, config, s) for s in seeds]

@@ -39,8 +39,8 @@ class TreeParams:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if self.min_gain < 0:
-            raise ValueError("min_gain must be >= 0")
+        if not self.min_gain >= 0:  # NaN fails too
+            raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
 

@@ -71,6 +71,16 @@ class TestBoostConfig:
         with pytest.raises(ValueError, match="lambda_task"):
             BoostConfig(lambda_task=[0.1, -0.1])
 
+    def test_rejects_nan_penalties_and_accepts_inf(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="lambda_u"):
+            BoostConfig(lambda_u=nan)
+        for lam_t in (nan, [0.1, nan]):
+            with pytest.raises(ValueError, match="lambda_task"):
+                BoostConfig(lambda_task=lam_t)
+        # inf means "never admit a new feature" and stays valid.
+        assert BoostConfig(lambda_u=inf, lambda_task=[inf, 0.1]).lambda_u == inf
+
     def test_per_task_penalty_lookup(self):
         cfg = BoostConfig(lambda_task=[0.1, 0.2])
         assert cfg.lambda_for_task(1, 2) == 0.2

@@ -188,6 +188,20 @@ class TestFitCommand:
         assert config["rounds_task"] == 6
         assert config["lambda_u"] == 1.0
 
+    def test_config_penalties_win_over_shared_lambda(self, synth_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda_u": 2, "lambda_task": [0.5, 0.25]}))
+        out = str(tmp_path / "penalties")
+        code = run(
+            "fit", "--manifest", os.path.join(synth_dir, "manifest.json"), "--out", out,
+            "--config", str(cfg_path), "--lambda", "1.0",
+            "--rounds-universal", "1", "--rounds-task", "1",
+        )
+        assert code == cli.EXIT_OK
+        config = read_json(os.path.join(out, "model.json"))["model"]["config"]
+        assert config["lambda_u"] == 2.0
+        assert config["lambda_task"] == [0.5, 0.25]
+
 
 class TestPredictCommand:
     def test_matches_library_predictions(self, synth_dir, fit_dir, tmp_path):
@@ -440,6 +454,89 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_USAGE
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("fit", "--jobs", "2"),
+            ("fit", "--grid-points", "3"),
+            ("fit", "--grid-base", "2"),
+            ("fit", "--stability-variant", "normalized"),
+            ("fit", "--replicates", "3"),
+            ("path", "--jobs", "2"),
+            ("path", "--stability-variant", "normalized"),
+            ("path", "--replicates", "3"),
+            ("stability", "--grid-points", "3"),
+            ("stability", "--grid-base", "2"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_usage(
+        self, command, flag, value, synth_dir, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                command, "--manifest", os.path.join(synth_dir, "manifest.json"),
+                "--out", str(tmp_path / "out"), flag, value,
+            )
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("fit", {"max_dept": 9}, "max_dept"),
+            ("stability", {"ratios": [0.7, 0.2, 0.1]}, "ratios"),
+            ("fit", {"seed": None}, "seed"),
+            ("fit", {"ratios": 5}, "ratios"),
+            ("path", {"ratios": [0.7, "0.2", 0.1]}, "ratios"),
+            ("fit", {"lambda_task": "abc"}, "lambda_task"),
+            ("fit", {"lambda_task": [1.0, True]}, "lambda_task"),
+            ("fit", {"max_depth": 2.7}, "max_depth"),
+            ("fit", {"max_depth": True}, "max_depth"),
+            ("fit", {"learning_rate": False}, "learning_rate"),
+            ("path", {"grid_base": "ten"}, "grid_base"),
+            ("stability", {"stability_variant": "other"}, "stability_variant"),
+        ],
+    )
+    def test_bad_config_key_or_type_exits_usage(
+        self, command, config, key, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a bad config file reached fitting")
+
+        monkeypatch.setattr(cli, "load_manifest", no_fit)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code = run(
+            command, "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), "--config", str(cfg_path),
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert str(cfg_path) in err and repr(key) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--min-gain"])
+    def test_nan_penalty_or_gain_floor_exits_usage(self, flag, synth_dir, tmp_path, capsys):
+        code = run(
+            "fit", "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), flag, "nan",
+        )
+        assert code == cli.EXIT_USAGE
+        assert "must be >= 0, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [[{"tasks": {"a": "a.csv"}}], {"tasks": {"a": 5}}],
+        ids=["json_list", "non_string_csv_path"],
+    )
+    def test_malformed_manifest_exits_data(self, manifest, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code = run("fit", "--manifest", str(path), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert str(path) in err and "Traceback" not in err
 
     def test_unknown_subcommand_exits_usage(self):
         with pytest.raises(SystemExit) as exc:

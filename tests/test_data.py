@@ -220,6 +220,8 @@ class TestOverlapSplit:
             overlap_split([task], ratios=(0.5, 0.5, 0.2))
         with pytest.raises(DataError, match="ratios"):
             overlap_split([task], ratios=(1.0, 0.0, 0.0))
+        with pytest.raises(DataError, match="ratios"):
+            overlap_split([task], ratios=(float("nan"), 0.5, 0.5))
 
     def test_serialization_lists_sample_ids(self):
         task = make_task("t", [f"s{i}" for i in range(10)], np.zeros((10, 1)), np.arange(10.0))

@@ -1,5 +1,6 @@
 """Stability statistics: point estimates, variances, tests, correlations."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from bouts.stability import (
     universal_correlation_matrix,
     ztest,
 )
+from bouts.synth import SynthSpec, generate
 from bouts.trees import TreeParams
 
 
@@ -308,6 +310,49 @@ class TestSelectionReplicates:
         data = replicate_dataset()
         with pytest.raises(ValueError, match="at least 2 replicates"):
             selection_replicates(data, self.config(), replicates=1)
+        with pytest.raises(ValueError, match="1 job, got 3 and 0"):
+            selection_replicates(data, self.config(), replicates=3, jobs=0)
         bad = BoostConfig(rounds_universal=0, rounds_task=5)
         with pytest.raises(ValueError, match="stage budgets"):
             selection_replicates(data, bad, replicates=2)
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_pool_has_at_most_one_worker_per_replicate(self, jobs, workers, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the pool size and runs the replicates here; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        data = replicate_dataset()
+        uni, _ = selection_replicates(data, self.config(), replicates=3, seed=7, jobs=jobs)
+        assert started == [workers]
+        assert uni.n_replicates == 3
+
+    def test_jobs_do_not_change_results(self):
+        spec = SynthSpec(
+            n_tasks=2, n_features=6, n_samples=60, universal=[0], task_specific=[[1], [2]],
+            seed=3,
+        )
+        data, _ = generate(spec)
+        config = BoostConfig(rounds_universal=3, rounds_task=3, lambda_u=0.5, lambda_task=0.5)
+        serial = selection_replicates(data, config, replicates=3, seed=5, jobs=1)
+        pooled = selection_replicates(data, config, replicates=3, seed=5, jobs=2)
+        # The replicates select different sets, so a reordering would show too.
+        assert len({row.tobytes() for row in serial[0].Z}) > 1
+        np.testing.assert_array_equal(serial[0].Z, pooled[0].Z)
+        assert len(serial[1]) == len(pooled[1]) == 2
+        for a, b in zip(serial[1], pooled[1]):
+            np.testing.assert_array_equal(a.Z, b.Z)

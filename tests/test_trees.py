@@ -37,6 +37,25 @@ def grow(X, y, lam=0.0, params=None):
                                lambda_u=lam, params=params)
 
 
+class TestTreeParams:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"max_depth": 0}, "max_depth"),
+            ({"min_samples_leaf": 0}, "min_samples_leaf"),
+            ({"min_gain": -1e-9}, "min_gain"),
+            ({"min_gain": float("nan")}, "min_gain"),
+            ({"criterion": "gini"}, "criterion"),
+        ],
+    )
+    def test_rejects_bad_values(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TreeParams(**kwargs)
+
+    def test_infinite_gain_floor_is_valid(self):
+        assert TreeParams(min_gain=float("inf")).min_gain == float("inf")
+
+
 class TestRawGain:
     def test_variance_example(self):
         assert raw_gain(node(X4, Y4), 0, 2.0, VARIANCE) == pytest.approx(0.25)
