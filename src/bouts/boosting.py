@@ -208,8 +208,8 @@ class BoutsModel:
     def from_dict(cls, d: dict) -> "BoutsModel":
         """Decode a saved model.
 
-        Raises DataError when the parts disagree on the number of tasks or
-        a tree is malformed (see ``MultitaskTree.from_dict``); a missing key
+        Raises DataError when the parts disagree on the number of tasks, an
+        ``f0`` entry is not finite or a tree is malformed (see ``MultitaskTree.from_dict``); a missing key
         raises KeyError and a mistyped value TypeError or ValueError.
         """
         T, n_features = len(d["task_names"]), len(d["feature_names"])
@@ -231,6 +231,8 @@ class BoutsModel:
                 f"{T} tasks but {len(model.f0)} f0 entries and {len(model.task_trees)} "
                 "stage-2 tree lists"
             )
+        if not np.isfinite(model.f0).all():
+            raise DataError(f"f0 holds a non-finite number: {model.f0}")
         return model
 
 

@@ -14,6 +14,7 @@ and scalars for T=1 stage-2 trees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import AbstractSet, Optional, Sequence
@@ -237,7 +238,7 @@ class MultitaskTree:
         """Decode either layout (a dict without ``n_tasks`` is scalar).
 
         Raises DataError unless the tree covers ``n_tasks`` tasks, every
-        per-task field has that many entries, every split feature is below
+        per-task field has that many finite entries, every split feature is below
         ``n_features``, and every child index points forward (past its
         parent) inside the node list, which rules out cycles before anything
         is routed.  Missing keys raise KeyError.
@@ -253,7 +254,10 @@ class MultitaskTree:
             row = [node[_SCALAR_KEYS[key]]] if scalar else node[key]
             if len(row) != n_tasks:
                 raise DataError(f"node {i}: {key} has {len(row)} entries for {n_tasks} tasks")
-            return [float(v) for v in row]
+            row = [float(v) for v in row]
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"node {i}: {key} holds a non-finite number")
+            return row
 
         tree = cls(n_tasks=n_tasks)
         n = len(nodes)

@@ -31,12 +31,22 @@ DOWNSTREAM_LEARNING_RATE = 0.1
 
 
 def log_grid(n_points: int = 20, low: float = -4.0, high: float = 4.0, base: float = math.e) -> list[float]:
-    """Penalty grid equally spaced in log space, default exp(-4)..exp(4)."""
+    """Penalty grid equally spaced in log space, default exp(-4)..exp(4).
+
+    Raises ValueError unless the grid is finite and strictly increasing.
+    """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    if base <= 1.0:
-        raise ValueError("base must be > 1")
-    return [float(base ** v) for v in np.linspace(low, high, n_points)]
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"base must be a finite number > 1, got {base}")
+    with np.errstate(over="ignore"):
+        grid = [float(base ** v) for v in np.linspace(low, high, n_points)]
+    if not (np.isfinite(grid).all() and all(a < b for a, b in zip(grid, grid[1:]))):
+        raise ValueError(
+            f"base {base} and n_points {n_points} give a penalty grid that is not "
+            "finite and strictly increasing"
+        )
+    return grid
 
 
 def explained_variance(y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .boosting import BoostConfig, fit, universal_features
 from .data import (
@@ -151,9 +152,8 @@ def stability_ci(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     phi_hat = stability(matrix, variant)
-    half = float(stats.norm.ppf(1.0 - alpha / 2.0)) * float(
-        np.sqrt(stability_variance(matrix, variant))
-    )
+    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    half = z * float(np.sqrt(stability_variance(matrix, variant)))
     return (phi_hat - half, phi_hat + half)
 
 
@@ -169,7 +169,7 @@ def ztest(
             return (0.0, 1.0)
         return (float(np.inf) if phi_a > phi_b else float(-np.inf), 0.0)
     t = (phi_a - phi_b) / float(np.sqrt(v))
-    p = 2.0 * float(stats.norm.sf(abs(t)))
+    p = math.erfc(abs(t) / math.sqrt(2.0))
     return (t, p)
 
 
@@ -218,14 +218,22 @@ def make_report(
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Rank correlation with average ranks for ties."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise DataError("spearman needs two equal-length vectors of length >= 2")
-    rx = stats.rankdata(x)
-    ry = stats.rankdata(y)
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise DataError("spearman is undefined for NaN input")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.std(rx) == 0.0 or np.std(ry) == 0.0:
         raise NumericalError("spearman is undefined for a constant input")
     return float(np.corrcoef(rx, ry)[0, 1])

@@ -12,6 +12,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -82,6 +84,16 @@ def fit_dir(synth_dir, tmp_path_factory) -> str:
     )
     assert code == cli.EXIT_OK
     return out
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, bouts, bouts.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestSynthCommand:
@@ -280,6 +292,10 @@ def _first_internal(trees: list) -> dict:
     return next(n for tree in trees for n in tree["nodes"] if "feature" in n)
 
 
+def _set_first(values: list, value) -> None:
+    values[0] = value
+
+
 # Each case damages a valid bundle in one way that must not reach routing.
 MANGLED_MODELS = {
     "not_json": lambda bundle: "{this is not json",
@@ -303,6 +319,20 @@ MANGLED_MODELS = {
     "f0_length": lambda bundle: bundle["model"]["f0"].pop(),
     "tree_not_object": lambda bundle: bundle["model"]["task_trees"][1].append([]),
     "missing_standardizer": lambda bundle: bundle["standardizers"].pop("task0"),
+    # The last node of a tree is always a leaf.
+    "leaf_value_nan": lambda bundle: _set_first(
+        bundle["model"]["universal_trees"][0]["nodes"][-1]["values"], math.nan
+    ),
+    "task_tree_threshold_inf": lambda bundle: _first_internal(
+        bundle["model"]["task_trees"][0]
+    ).update(threshold=math.inf),
+    "f0_inf": lambda bundle: _set_first(bundle["model"]["f0"], math.inf),
+    "standardizer_y_mean_nan": lambda bundle: bundle["standardizers"]["task0"].update(
+        y_mean=math.nan
+    ),
+    "standardizer_x_std_zero": lambda bundle: bundle["standardizers"]["task1"].update(
+        x_std=[0.0] * len(bundle["standardizers"]["task1"]["x_std"])
+    ),
 }
 
 
@@ -496,6 +526,9 @@ class TestExitCodes:
             ("fit", {"learning_rate": False}, "learning_rate"),
             ("path", {"grid_base": "ten"}, "grid_base"),
             ("stability", {"stability_variant": "other"}, "stability_variant"),
+            ("path", {"drop": 1.5}, "drop"),
+            ("path", {"drop": 0}, "drop"),
+            ("stability", {"alpha": 2}, "alpha"),
         ],
     )
     def test_bad_config_key_or_type_exits_usage(
@@ -524,6 +557,23 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_USAGE
         assert "must be >= 0, got nan" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")  # the overflowing grid must not warn either
+    @pytest.mark.parametrize("base", ["inf", "nan", "1e300"])
+    def test_bad_grid_base_exits_usage_before_loading(
+        self, base, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a bad penalty grid reached fitting")
+
+        monkeypatch.setattr(cli, "load_manifest", no_fit)
+        code = run(
+            "path", "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), "--grid-base", base,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "base" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "manifest",

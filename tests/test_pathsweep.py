@@ -43,6 +43,12 @@ class TestLogGrid:
             log_grid(n_points=1)
         with pytest.raises(ValueError, match="base"):
             log_grid(base=1.0)
+        for base in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="base must be a finite number > 1"):
+                log_grid(base=base)
+        # Finite, but base**4 overflows and base**-4 underflows.
+        with pytest.raises(ValueError, match=r"base 1e\+300 and n_points 20 .* not finite"):
+            log_grid(base=1e300)
 
     def test_strictly_increasing(self):
         grid = log_grid(n_points=50)

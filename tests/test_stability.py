@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from bouts.boosting import BoostConfig
 from bouts.data import MultitaskDataset, TaskDataset
@@ -15,6 +14,7 @@ from bouts.stability import (
     NORMALIZED,
     PAPER_FORMULA,
     SelectionMatrix,
+    _average_ranks,
     cohens_d,
     make_report,
     selection_replicates,
@@ -139,9 +139,9 @@ class TestStabilityVariance:
     def test_ci_is_symmetric_normal_interval(self):
         m = matrix(ZA)
         low, high = stability_ci(m, alpha=0.05, variant=PAPER_FORMULA)
-        half = stats.norm.ppf(0.975) * math.sqrt(2.0 / 243.0)
+        half = 1.959963984540054 * math.sqrt(2.0 / 243.0)  # normal quantile at 0.975
         assert (low + high) / 2.0 == pytest.approx(2.0 / 3.0)
-        assert high - low == pytest.approx(2.0 * half)
+        assert high - low == pytest.approx(2.0 * half, rel=1e-15)
         narrow = stability_ci(m, alpha=0.32, variant=PAPER_FORMULA)
         assert narrow[1] - narrow[0] < high - low
         with pytest.raises(ValueError, match="alpha"):
@@ -209,6 +209,18 @@ class TestSpearman:
         # Ranks (1.5, 1.5, 3) vs (1, 2, 3): correlation sqrt(3)/2.
         assert spearman([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(math.sqrt(3) / 2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(allow_nan=False), min_size=1, max_size=40
+        )
+    )
+    def test_average_ranks_match_definition(self, values):
+        # Ties are drawn often: about half the elements come from a three-value pool.
+        x = np.asarray(values)
+        expected = [1 + np.sum(x < v) + (np.sum(x == v) - 1) / 2 for v in x]
+        np.testing.assert_array_equal(_average_ranks(x), expected)
+
     def test_errors(self):
         with pytest.raises(NumericalError, match="constant"):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -216,6 +228,8 @@ class TestSpearman:
             spearman([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(DataError, match="length >= 2"):
             spearman([1.0], [1.0])
+        with pytest.raises(DataError, match="NaN"):
+            spearman([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
 
 
 def make_task(name, X, names):
