@@ -30,7 +30,7 @@ from .data import (
     standardize_dataset,
 )
 from .errors import BoutsError, DataError, NumericalError
-from .multitask import MultitaskNodeView, MultitaskSplit, MultitaskTree, grow_multitask_tree, maximin_split
+from .multitask import MultitaskSplit, MultitaskTree, grow_multitask_tree, maximin_split
 from .pathsweep import (
     RegularizationPath,
     SelectedPenalty,
@@ -64,7 +64,6 @@ __all__ = [
     "BoutsModel",
     "DataError",
     "MultitaskDataset",
-    "MultitaskNodeView",
     "MultitaskSplit",
     "MultitaskTree",
     "NodeView",

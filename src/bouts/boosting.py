@@ -10,7 +10,7 @@ coefficient mass after r accepted rounds is exactly beta * r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -62,23 +62,11 @@ class BoostConfig:
         return float(self.lambda_task)
 
     def to_dict(self) -> dict:
-        lam_t = (
-            list(self.lambda_task) if _is_sequence(self.lambda_task) else self.lambda_task
-        )
-        return {
-            "rounds_universal": self.rounds_universal,
-            "rounds_task": self.rounds_task,
-            "learning_rate": self.learning_rate,
-            "lambda_u": self.lambda_u,
-            "lambda_task": lam_t,
-            "tree": self.tree.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostConfig":
-        d = dict(d)
-        d["tree"] = TreeParams.from_dict(d["tree"])
-        return cls(**d)
+        return cls(**{**d, "tree": TreeParams(**d["tree"])})
 
 
 def _is_sequence(x) -> bool:

@@ -35,9 +35,9 @@ from .data import (
     load_manifest,
     load_task_csv,
     overlap_split,
-    split_to_json,
     standardize_dataset,
     Standardizer,
+    write_json,
 )
 from .errors import BoutsError, DataError, NumericalError
 from .trees import CRITERIA, TreeParams
@@ -46,12 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -131,9 +125,9 @@ def _settings(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if "config" in args:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
             raise DataError(f"cannot read config file {args.config}: {e}") from None
         if not isinstance(cfg, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
@@ -167,7 +161,10 @@ def _boost_config(cfg: dict) -> BoostConfig:
 def _load_standardized(manifest: str, cfg: dict):
     dataset = load_manifest(manifest)
     split = overlap_split(dataset.tasks, **_pick(cfg, "ratios", "seed"))
-    standardized, standardizers = standardize_dataset(dataset, split)
+    try:
+        standardized, standardizers = standardize_dataset(dataset, split)
+    except NumericalError as e:
+        raise NumericalError(f"{manifest}: {e}") from None
     return dataset, standardized, standardizers, split
 
 
@@ -187,7 +184,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     model = fit(standardized, split, config)
     os.makedirs(args.out, exist_ok=True)
 
-    _write_json(os.path.join(args.out, "model.json"), _model_bundle(model, standardizers))
+    write_json(os.path.join(args.out, "model.json"), _model_bundle(model, standardizers))
     selected = {
         "universal": boosting.universal_features(model),
         "task_specific": {
@@ -195,13 +192,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
             for t, name in enumerate(model.task_names)
         },
     }
-    _write_json(os.path.join(args.out, "selected_features.json"), selected)
+    write_json(os.path.join(args.out, "selected_features.json"), selected)
     importances = {
         name: boosting.feature_importances(model, t)
         for t, name in enumerate(model.task_names)
     }
-    _write_json(os.path.join(args.out, "importances.json"), importances)
-    _write_text(os.path.join(args.out, "split.json"), split_to_json(split, dataset.tasks) + "\n")
+    write_json(os.path.join(args.out, "importances.json"), importances)
+    write_json(os.path.join(args.out, "split.json"), split.to_dict(dataset.tasks))
 
     rows = []
     for t, task in enumerate(standardized.tasks):
@@ -229,8 +226,8 @@ def cmd_path(args: argparse.Namespace) -> int:
     chosen = pathsweep.select_penalty(path, **_pick(cfg, "drop"))
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "path.csv"), path.to_csv())
-    _write_json(os.path.join(args.out, "path.json"), path.to_dict())
-    _write_json(
+    write_json(os.path.join(args.out, "path.json"), path.to_dict())
+    write_json(
         os.path.join(args.out, "selected_lambda.json"),
         {"index": chosen.index, "lambda": chosen.lam, "warning": chosen.warning},
     )
@@ -269,7 +266,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
             "cohens_d": cohens_d(Z_u, Z_t, variant),
         }
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "stability_report.json"), _finite_or_str(report))
+    write_json(os.path.join(args.out, "stability_report.json"), _finite_or_str(report))
     _write_text(os.path.join(args.out, "Z_universal.csv"), Z_u.to_csv())
     for name, Z_t in zip(dataset.task_names, Z_tasks):
         _write_text(os.path.join(args.out, f"Z_{name}.csv"), Z_t.to_csv())
@@ -370,8 +367,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pos = {f: i for i, f in enumerate(task.feature_names)}
     missing = [f for f in model.feature_names if f not in pos]
     if missing:
-        raise DataError(f"input file lacks feature column {missing[0]!r}")
+        raise DataError(f"{args.data}: lacks feature column {missing[0]!r}")
     X = task.X[:, [pos[f] for f in model.feature_names]]
+    # A column the model never splits on may hold missing cells; the others may not.
+    used = sorted(model.universal_feature_indices | model.task_feature_indices(t))
+    rows, cols = np.nonzero(np.isnan(X[:, used]))
+    if len(rows):
+        sid, column = task.sample_ids[rows[0]], model.feature_names[used[cols[0]]]
+        raise DataError(f"{args.data}: sample {sid!r}, column {column!r}: missing value")
     y_pred_std = model.predict(t, standardizer.transform_X(X))
     y_pred = standardizer.inverse_y(y_pred_std)
 

@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -107,40 +107,48 @@ def _parse_cell(raw: str, path: str, row: int, col: int) -> float:
 
 
 def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
-    """Read one task CSV (id, features..., target) without any pruning."""
+    """Read one UTF-8 task CSV (id, features..., target) without any pruning."""
     if name is None:
         name = str(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if len(header) < 3:
-            raise DataError(f"{path}: need at least id, one feature, and target columns")
-        feature_names = [h.strip() for h in header[1:-1]]
-        if len(set(feature_names)) != len(feature_names):
-            dup = _first_duplicate(feature_names)
-            raise DataError(f"{path}: duplicate feature column {dup!r}")
-        ids: list[str] = []
-        line_numbers: list[int] = []
-        rows: list[list[float]] = []
-        targets: list[float] = []
-        width = len(header)
-        for r, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != width:
-                raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
-            ids.append(record[0].strip())
-            line_numbers.append(r)
-            rows.append([_parse_cell(c, path, r, j + 2) for j, c in enumerate(record[1:-1])])
-            target = _parse_cell(record[-1], path, r, width)
-            if math.isnan(target):
-                raise DataError(f"{path}: row {r}: target value is NaN")
-            targets.append(target)
+        try:  # the file is decoded and parsed lazily, row by row
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            if len(header) < 3:
+                raise DataError(f"{path}: need at least id, one feature, and target columns")
+            feature_names = [h.strip() for h in header[1:-1]]
+            if len(set(feature_names)) != len(feature_names):
+                dup = _first_duplicate(feature_names)
+                raise DataError(f"{path}: duplicate feature column {dup!r}")
+            ids: list[str] = []
+            line_numbers: list[int] = []
+            rows: list[list[float]] = []
+            targets: list[float] = []
+            width = len(header)
+            for r, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != width:
+                    raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
+                ids.append(record[0].strip())
+                line_numbers.append(r)
+                rows.append([_parse_cell(c, path, r, j + 2) for j, c in enumerate(record[1:-1])])
+                target = _parse_cell(record[-1], path, r, width)
+                if math.isnan(target):
+                    raise DataError(f"{path}: row {r}: target value is NaN")
+                targets.append(target)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
+    if len(set(ids)) != len(ids):
+        dup = _first_duplicate(ids)
+        first, again = [line_numbers[i] for i, sid in enumerate(ids) if sid == dup][:2]
+        raise DataError(f"{path}: row {again}: duplicate sample id {dup!r} (row {first})")
     X = np.array(rows, dtype=np.float64)
     y = np.array(targets, dtype=np.float64)
     inf_rows = np.flatnonzero(np.isinf(X).any(axis=1) | np.isinf(y))
@@ -159,13 +167,8 @@ def prune_features(task: TaskDataset) -> TaskDataset:
     keep = ~(has_nan | constant)
     if not keep.any():
         raise DataError(f"task {task.name!r}: no usable features after pruning")
-    return TaskDataset(
-        name=task.name,
-        feature_names=[f for f, k in zip(task.feature_names, keep) if k],
-        X=task.X[:, keep],
-        y=task.y,
-        sample_ids=list(task.sample_ids),
-    )
+    names = [f for f, k in zip(task.feature_names, keep) if k]
+    return replace(task, feature_names=names, X=task.X[:, keep])
 
 
 def build_category(tasks: Sequence[TaskDataset]) -> MultitaskDataset:
@@ -182,15 +185,7 @@ def build_category(tasks: Sequence[TaskDataset]) -> MultitaskDataset:
     for task in tasks:
         pos = {f: i for i, f in enumerate(task.feature_names)}
         cols = [pos[f] for f in candidate]
-        aligned.append(
-            TaskDataset(
-                name=task.name,
-                feature_names=list(candidate),
-                X=task.X[:, cols],
-                y=task.y,
-                sample_ids=list(task.sample_ids),
-            )
-        )
+        aligned.append(replace(task, feature_names=list(candidate), X=task.X[:, cols]))
     return MultitaskDataset(tasks=aligned, candidate_features=candidate)
 
 
@@ -305,17 +300,16 @@ def fit_standardizer(task: TaskDataset, train_idx: np.ndarray) -> Standardizer:
         raise DataError(f"task {task.name!r}: empty training partition")
     Xtr = task.X[train_idx]
     ytr = task.y[train_idx]
-    x_mean = Xtr.mean(axis=0)
-    x_std = Xtr.std(axis=0)
-    y_std = float(ytr.std())
-    if np.any(x_std == 0.0):
-        j = int(np.argmax(x_std == 0.0))
-        raise NumericalError(
-            f"task {task.name!r}: feature {task.feature_names[j]!r} is constant on train"
-        )
-    if y_std == 0.0:
-        raise NumericalError(f"task {task.name!r}: target is constant on train")
-    return Standardizer(x_mean=x_mean, x_std=x_std, y_mean=float(ytr.mean()), y_std=y_std)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        x_mean, x_std = Xtr.mean(axis=0), Xtr.std(axis=0)
+        y_mean, y_std = float(ytr.mean()), float(ytr.std())
+    for column, std in zip([*task.feature_names, None], [*x_std, y_std]):
+        what = "target" if column is None else f"feature {column!r}"
+        if std == 0.0:
+            raise NumericalError(f"task {task.name!r}: {what} is constant on train")
+        if not math.isfinite(std):
+            raise NumericalError(f"task {task.name!r}: {what} is too large to standardize")
+    return Standardizer(x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
 
 def standardize_dataset(
@@ -323,21 +317,11 @@ def standardize_dataset(
 ) -> tuple[MultitaskDataset, list[Standardizer]]:
     """Rescale every task with its own training statistics."""
     standardizers = [fit_standardizer(t, split.train[i]) for i, t in enumerate(data.tasks)]
-    tasks = []
-    for task, st in zip(data.tasks, standardizers):
-        tasks.append(
-            TaskDataset(
-                name=task.name,
-                feature_names=list(task.feature_names),
-                X=st.transform_X(task.X),
-                y=st.transform_y(task.y),
-                sample_ids=list(task.sample_ids),
-            )
-        )
-    return (
-        MultitaskDataset(tasks=tasks, candidate_features=list(data.candidate_features)),
-        standardizers,
-    )
+    tasks = [
+        replace(task, X=st.transform_X(task.X), y=st.transform_y(task.y))
+        for task, st in zip(data.tasks, standardizers)
+    ]
+    return replace(data, tasks=tasks), standardizers
 
 
 def load_manifest(path: str) -> MultitaskDataset:
@@ -345,10 +329,10 @@ def load_manifest(path: str) -> MultitaskDataset:
 
     Relative CSV paths resolve against the manifest's directory.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"{path}: invalid JSON manifest: {e}") from None
     entries = manifest.get("tasks") if isinstance(manifest, dict) else None
     if not isinstance(entries, dict) or not entries:
@@ -357,13 +341,19 @@ def load_manifest(path: str) -> MultitaskDataset:
     tasks = []
     for name in sorted(entries):
         csv_path = entries[name]
-        if not isinstance(csv_path, str):
-            raise DataError(f"{path}: the CSV path of task {name!r} must be a string")
+        if not isinstance(csv_path, str) or "\0" in csv_path:
+            raise DataError(f"{path}: the CSV path of task {name!r} must be a string without NUL")
         if not os.path.isabs(csv_path):
             csv_path = os.path.join(base, csv_path)
-        tasks.append(prune_features(load_task_csv(csv_path, name)))
-    return build_category(tasks)
+        tasks.append(load_task_csv(csv_path, name))
+    try:
+        return build_category([prune_features(task) for task in tasks])
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
-def split_to_json(split: SplitAssignment, tasks: Sequence[TaskDataset]) -> str:
-    return json.dumps(split.to_dict(tasks), indent=2, sort_keys=True)
+def write_json(path: str, obj) -> None:
+    """Write an artifact as JSON: 2-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True))
+        fh.write("\n")

@@ -26,27 +26,6 @@ from .trees import TIE_MARGIN, NodeView, TreeParams, best_on_feature, raw_gain, 
 
 
 @dataclass(frozen=True)
-class MultitaskNodeView:
-    """Per-task sample views sitting at one shared node position."""
-
-    Xs: tuple[np.ndarray, ...]
-    ys: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.Xs) != len(self.ys) or not self.Xs:
-            raise ValueError("need one (X, y) pair per task")
-        for X, y in zip(self.Xs, self.ys):
-            if len(y) == 0:
-                raise ValueError("every task view must be nonempty")
-            if X.shape[0] != y.shape[0]:
-                raise ValueError("X and y row counts differ")
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.Xs)
-
-
-@dataclass(frozen=True)
 class MultitaskSplit:
     feature: int
     thresholds: tuple[float, ...]  # one per task
@@ -56,31 +35,32 @@ class MultitaskSplit:
 
 
 def maximin_split(
-    node: MultitaskNodeView,
+    views: Sequence[NodeView],
     used_universal: AbstractSet[int],
     lambda_u: float,
     params: TreeParams,
 ) -> Optional[MultitaskSplit]:
     """Shared split feature maximizing the minimum per-task penalized gain.
 
-    Pass one scores every feature: each task maximizes over its own midpoint
-    thresholds, the per-feature score is the min across tasks, and the argmax
-    feature wins (lowest index on ties).  Pass two re-solves each task's
+    ``views`` holds one node view per task.  Pass one scores every feature:
+    each task maximizes over its own midpoint thresholds, the per-feature
+    score is the min across tasks, and the argmax feature wins (lowest index
+    on ties).  Pass two re-solves each task's
     threshold and gain on the winning column with the definition-based ops;
     features within the tie margin of the best score go through the same
     re-solve so near-ties cannot be misordered by scan arithmetic.  Returns
     None when the score is <= ``params.min_gain``.
     """
-    d = node.Xs[0].shape[1]
-    n_tasks = node.n_tasks
+    if not views:
+        raise ValueError("need one node view per task")
+    d = views[0].X.shape[1]
     new = np.ones(d, dtype=bool)
     if used_universal:
         new[list(used_universal)] = False
     charges = np.where(new, lambda_u, 0.0)
     # Per task: (raw gains, thresholds, ambiguous flags) over the d features.
     scans = [
-        scan_columns(X, y, params.min_samples_leaf, params.criterion)
-        for X, y in zip(node.Xs, node.ys)
+        scan_columns(view.X, view.y, params.min_samples_leaf, params.criterion) for view in views
     ]
     pens = []
     for raw, _, _ in scans:
@@ -94,7 +74,6 @@ def maximin_split(
     tol = TIE_MARGIN * max(1.0, abs(s_max))
     if s_max <= params.min_gain - tol:
         return None
-    views = [NodeView(X, y) for X, y in zip(node.Xs, node.ys)]
     shortlist = np.flatnonzero(np.isfinite(score) & (score >= s_max - tol))
     best = None  # (score, feature, per-task (penalized gain, threshold, raw))
     for f in shortlist:
@@ -115,7 +94,7 @@ def maximin_split(
                 g_raw = float(raw_gain(views[t], f, v, params.criterion))
                 g_pen = g_raw - charge
             task_best.append((g_pen, v, g_raw))
-        if len(task_best) < n_tasks:
+        if len(task_best) < len(views):
             continue
         sc = min(g for g, _, _ in task_best)
         if best is None or sc > best[0]:
@@ -306,13 +285,12 @@ def grow_multitask_tree(
     min_split = 2 * params.min_samples_leaf
 
     def build(idxs: list[np.ndarray], depth: int) -> int:
-        sub_y = [y[idx] for y, idx in zip(ys, idxs)]
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
-            view = MultitaskNodeView(tuple([X[idx] for X, idx in zip(Xs, idxs)]), tuple(sub_y))
-            split = maximin_split(view, used_now, lambda_u, params)
+            views = [NodeView(X[idx], y[idx]) for X, y, idx in zip(Xs, ys, idxs)]
+            split = maximin_split(views, used_now, lambda_u, params)
         if split is None:
-            return tree.add_leaf([float(np.mean(v)) for v in sub_y])
+            return tree.add_leaf([float(np.mean(y[idx])) for y, idx in zip(ys, idxs)])
         used_now.add(split.feature)
         i = tree.add_internal(split.feature, split.thresholds, split.raw_gains, split.gains)
         go_left = [Xs[t][idxs[t], split.feature] <= split.thresholds[t] for t in range(n_tasks)]

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -78,9 +77,6 @@ class PathPoint:
     ev_train: list[float]
     nae_test: list[np.ndarray]
 
-    def n_selected(self, t: int) -> int:
-        return len(self.universal) + len(self.task_specific[t])
-
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,
@@ -103,9 +99,6 @@ class RegularizationPath:
 
     def to_dict(self) -> dict:
         return {"task_names": self.task_names, "points": [p.to_dict() for p in self.points]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Flat per-(lambda, task) rows for plotting."""
@@ -140,7 +133,7 @@ class SelectedPenalty:
 def downstream_scores(
     dataset: MultitaskDataset,
     split: SplitAssignment,
-    selected: Sequence[Sequence[int]],
+    selected: Sequence[Iterable[int]],
     tree_params: TreeParams,
 ) -> tuple[list[float], list[np.ndarray]]:
     """Re-fit one plain boosted model per task on its selected features.
@@ -209,7 +202,6 @@ def sweep(
         grid = log_grid()
     if len(grid) == 0:
         raise ValueError("penalty grid is empty")
-    name_to_col = {f: i for i, f in enumerate(dataset.candidate_features)}
     points: list[PathPoint] = []
     for lam in grid:
         config = replace(base_config, lambda_u=float(lam), lambda_task=float(lam))
@@ -220,7 +212,7 @@ def sweep(
         uni = universal_features(model)
         spec = [task_specific_features(model, t) for t in range(dataset.n_tasks)]
         selected = [
-            [name_to_col[f] for f in uni] + [name_to_col[f] for f in spec[t]]
+            model.universal_feature_indices | model.task_feature_indices(t)
             for t in range(dataset.n_tasks)
         ]
         evs, naes = downstream_scores(dataset, split, selected, base_config.tree)

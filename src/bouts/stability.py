@@ -18,12 +18,12 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .boosting import BoostConfig, fit, universal_features
+from .boosting import BoostConfig, fit
 from .data import (
     MultitaskDataset,
     TaskDataset,
@@ -123,11 +123,9 @@ def _influence(matrix: SelectionMatrix, variant: str) -> np.ndarray:
     k = Z.sum(axis=1)
     if variant == PAPER_FORMULA:
         return (Z @ p - k / 2.0) / d
+    phi_hat = stability(matrix, variant)  # raises on a degenerate Z
     kbar = float(k.mean())
     denom = (kbar / d) * (1.0 - kbar / d)
-    if denom == 0.0:
-        raise NumericalError("normalized stability variance undefined for degenerate Z")
-    phi_hat = stability(matrix, variant)
     inner = (
         Z @ p / d
         - k * kbar / d**2
@@ -267,10 +265,7 @@ def universal_correlation_matrix(
                 b = cols.get(feature_names[j])
                 if a is None or b is None:
                     continue
-                try:
-                    vals.append(abs(spearman(a, b)))
-                except NumericalError:
-                    continue
+                vals.append(abs(spearman(a, b)))
             if vals:
                 mat[i, j] = mat[j, i] = float(np.mean(vals))
     return mat
@@ -280,19 +275,16 @@ def _replicate_rows(
     dataset: MultitaskDataset, config: BoostConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One replicate: a fresh split, one universal row, T single-task rows."""
-    from dataclasses import replace
-
     split = overlap_split(dataset.tasks, seed=seed)
     standardized, _ = standardize_dataset(dataset, split)
     d = len(dataset.candidate_features)
-    col = {f: i for i, f in enumerate(dataset.candidate_features)}
 
     # Universal selections do not depend on stage 2, so skip it here.
     uni_config = replace(config, rounds_task=0)
     model_u = fit(standardized, split, uni_config)
     row_u = np.zeros(d)
-    for name in universal_features(model_u):
-        row_u[col[name]] = 1.0
+    for f in model_u.universal_feature_indices:
+        row_u[f] = 1.0
 
     single_config = replace(config, rounds_universal=0)
     model_s = fit(standardized, split, single_config)

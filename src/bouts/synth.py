@@ -9,14 +9,13 @@ index sets are emitted alongside the data as the recovery oracle.
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .data import MultitaskDataset, TaskDataset
+from .data import MultitaskDataset, TaskDataset, write_json
 from .errors import DataError
 
 LINEAR = "linear"
@@ -100,9 +99,6 @@ class SynthTruth:
 
     def to_dict(self) -> dict:
         return {"universal": self.universal, "task_specific": self.task_specific}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _signal(cols: np.ndarray, nonlinearity: str) -> np.ndarray:
@@ -188,14 +184,8 @@ def write_outputs(dataset: MultitaskDataset, truth: SynthTruth, outdir: str) -> 
                 )
         manifest["tasks"][task.name] = f"{task.name}.csv"
         paths[f"csv:{task.name}"] = csv_path
-    manifest_path = os.path.join(outdir, "manifest.json")
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    truth_path = os.path.join(outdir, "truth.json")
-    with open(truth_path, "w") as fh:
-        fh.write(truth.to_json())
-        fh.write("\n")
-    paths["manifest"] = manifest_path
-    paths["truth"] = truth_path
+    paths["manifest"] = os.path.join(outdir, "manifest.json")
+    paths["truth"] = os.path.join(outdir, "truth.json")
+    write_json(paths["manifest"], manifest)
+    write_json(paths["truth"], truth.to_dict())
     return paths

@@ -44,18 +44,6 @@ class TreeParams:
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_gain": self.min_gain,
-            "criterion": self.criterion,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class NodeView:

@@ -22,7 +22,7 @@ from bouts.boosting import (
     universal_features,
 )
 from bouts.data import TaskDataset, overlap_split, standardize_dataset
-from bouts.multitask import MultitaskNodeView, maximin_split
+from bouts.multitask import maximin_split
 from bouts.pathsweep import PathPoint, RegularizationPath, log_grid, select_penalty, sweep
 from bouts.stability import (
     SelectionMatrix,
@@ -166,7 +166,7 @@ def test_a1_split_oracle_equivalence():
             criterion=str(rng.choice(CRITERIA)),
         )
         node = NodeView(X, y)
-        got = maximin_split(MultitaskNodeView((X,), (y,)), used, lam, params)
+        got = maximin_split([node], used, lam, params)
         want = enumerate_best_single(node, used, lam, params)
         if want is None:
             assert got is None
@@ -188,14 +188,14 @@ def test_a1_split_oracle_equivalence():
 # A2: the maximin shared-feature search equals brute force.
 
 
-def brute_force_maximin(node, used, lam, params):
+def brute_force_maximin(views, used, lam, params):
     """Independent maximin enumeration: per task the best penalized midpoint
     split per feature, then min across tasks, then argmax across features."""
     best = None
-    for f in range(node.Xs[0].shape[1]):
+    for f in range(views[0].X.shape[1]):
         per_task = []
-        for t in range(node.n_tasks):
-            X, y = node.Xs[t], node.ys[t]
+        for t in range(len(views)):
+            X, y = views[t].X, views[t].y
             xs = np.unique(X[:, f])
             cand = None
             for lo, hi in zip(xs[:-1], xs[1:]):
@@ -239,9 +239,9 @@ def test_a2_maximin_oracle_equivalence():
             min_gain=0.0,
             criterion=str(rng.choice(CRITERIA)),
         )
-        node = MultitaskNodeView(Xs=tuple(Xs), ys=tuple(ys))
-        got = maximin_split(node, used, lam, params)
-        want = brute_force_maximin(node, used, lam, params)
+        views = [NodeView(X, y) for X, y in zip(Xs, ys)]
+        got = maximin_split(views, used, lam, params)
+        want = brute_force_maximin(views, used, lam, params)
         if want is None:
             assert got is None
             continue

@@ -8,16 +8,22 @@ failure cases.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bouts import cli, pathsweep
 from bouts.boosting import BoutsModel
@@ -29,6 +35,13 @@ from bouts.schemas import load_schema
 # the `bouts predict` output for each, written before single-task trees
 # became T=1 multitask trees; it pins the on-disk format across that change.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+# A synth set and the split.json that `bouts fit` writes for it, written
+# before the artifact JSON encoders were merged into `data.write_json`.
+PINNED_DIR = os.path.join(DATA_DIR, "synth_2x6x40")
+PINNED_SYNTH_ARGS = (
+    "--tasks", "2", "--features", "6", "--samples", "40",
+    "--n-universal", "1", "--n-specific", "1", "--seed", "0",
+)
 
 
 def run(*args: str) -> int:
@@ -170,6 +183,20 @@ class TestFitCommand:
                 os.path.join(fit_dir, name)
             ), name
 
+    def test_synth_and_fit_reproduce_pinned_files(self, tmp_path):
+        data, out = str(tmp_path / "data"), str(tmp_path / "fit")
+        assert run("synth", "--out", data, *PINNED_SYNTH_ARGS) == cli.EXIT_OK
+        code = run(
+            "fit", "--manifest", os.path.join(data, "manifest.json"), "--out", out,
+            "--rounds-universal", "2", "--rounds-task", "2",
+        )
+        assert code == cli.EXIT_OK
+        written = {name: os.path.join(data, name) for name in os.listdir(data)}
+        written["split.json"] = os.path.join(out, "split.json")
+        assert sorted(written) == sorted(os.listdir(PINNED_DIR))
+        for name, path in written.items():
+            assert read_bytes(path) == read_bytes(os.path.join(PINNED_DIR, name)), name
+
     def test_zero_universal_rounds_selects_no_universal(self, synth_dir, tmp_path):
         out = str(tmp_path / "nouniv")
         code = run(
@@ -279,7 +306,45 @@ class TestPredictCommand:
             "--task", "task0", "--out", str(tmp_path / "pred.csv"),
         )
         assert code == cli.EXIT_DATA
-        assert "lacks feature column 'f002'" in capsys.readouterr().err
+        assert f"{trimmed}: lacks feature column 'f002'" in capsys.readouterr().err
+
+    def _predict_with_blank_cell(self, fit_dir, synth_dir, tmp_path, used: bool):
+        """Blank row 5's cell in a feature task 0's trees do (or do not) split on."""
+        model = BoutsModel.from_dict(read_json(os.path.join(fit_dir, "model.json"))["model"])
+        uses = model.universal_feature_indices | model.task_feature_indices(0)
+        column = next(f for j, f in enumerate(model.feature_names) if (j in uses) == used)
+        with open(os.path.join(synth_dir, "task0.csv")) as fh:
+            rows = list(csv.reader(fh))
+        rows[5][rows[0].index(column)] = ""
+        data = tmp_path / "blank.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        code = run(
+            "predict", "--model", os.path.join(fit_dir, "model.json"), "--data", str(data),
+            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+        )
+        return code, data, rows[5][0], column
+
+    def test_missing_cell_in_used_feature_exits_data(
+        self, synth_dir, fit_dir, tmp_path, capsys
+    ):
+        code, data, sid, column = self._predict_with_blank_cell(
+            fit_dir, synth_dir, tmp_path, used=True
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert f"{data}: sample {sid!r}, column {column!r}: missing value" in err
+
+    def test_missing_cell_in_unused_feature_still_predicts(self, synth_dir, fit_dir, tmp_path):
+        code, _, _, _ = self._predict_with_blank_cell(fit_dir, synth_dir, tmp_path, used=False)
+        assert code == cli.EXIT_OK
+        full = str(tmp_path / "full.csv")
+        code = run(
+            "predict", "--model", os.path.join(fit_dir, "model.json"),
+            "--data", os.path.join(synth_dir, "task0.csv"), "--task", "task0", "--out", full,
+        )
+        assert code == cli.EXIT_OK
+        assert read_bytes(str(tmp_path / "pred.csv")) == read_bytes(full)
 
 
 def _cyclic_root(model: dict) -> None:
@@ -577,8 +642,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "manifest",
-        [[{"tasks": {"a": "a.csv"}}], {"tasks": {"a": 5}}],
-        ids=["json_list", "non_string_csv_path"],
+        [[{"tasks": {"a": "a.csv"}}], {"tasks": {"a": 5}}, {"tasks": {"a": "a\x00.csv"}}],
+        ids=["json_list", "non_string_csv_path", "nul_in_csv_path"],
     )
     def test_malformed_manifest_exits_data(self, manifest, tmp_path, capsys):
         path = tmp_path / "manifest.json"
@@ -621,6 +686,67 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "one.csv: row 8, column 'x1': infinite value" in err
 
+    @pytest.mark.parametrize("case", ["fit_csv", "predict_csv", "manifest", "config"])
+    def test_non_utf8_file_exits_data(self, case, synth_dir, fit_dir, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        shutil.copytree(synth_dir, data)
+        manifest = os.path.join(data, "manifest.json")
+        bad = {"manifest": manifest, "config": str(tmp_path / "cfg.json")}.get(
+            case, os.path.join(data, "task0.csv")
+        )
+        if case == "config":
+            with open(bad, "w") as fh:
+                fh.write('{"seed": 1}')
+        text = read_bytes(bad)
+        with open(bad, "wb") as fh:  # near the end, past the first decoded chunk of a CSV
+            fh.write(text[:-5] + b"\xff" + text[-5:])
+        if case == "predict_csv":
+            code = run(
+                "predict", "--model", os.path.join(fit_dir, "model.json"), "--data", bad,
+                "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+            )
+        else:
+            config = ["--config", bad] if case == "config" else []
+            code = run("fit", "--manifest", manifest, "--out", str(tmp_path / "out"), *config)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert bad in err and "utf-8" in err.lower() and "Traceback" not in err
+
+    def test_duplicate_sample_id_exits_data(self, tmp_path, capsys):
+        rows = [[f"s{i}", str(i % 7), str(i)] for i in range(20)]
+        rows[2][0] = "s1"
+        code = self._fit_one_csv(tmp_path, ["id", "x0", "target"], rows)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "one.csv: row 4: duplicate sample id 's1' (row 3)" in err
+
+    def test_no_shared_feature_names_the_manifest(self, tmp_path, capsys):
+        for name, feature in (("a", "x0"), ("b", "x1")):
+            rows = [[f"s{i}", str(i % 7), str(i)] for i in range(20)]
+            (tmp_path / f"{name}.csv").write_text(
+                "\n".join(",".join(row) for row in [["id", feature, "target"], *rows]) + "\n"
+            )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tasks": {"a": "a.csv", "b": "b.csv"}}))
+        code = run("fit", "--manifest", str(manifest), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert f"{manifest}: no feature is shared by every task" in err
+
+    def test_overflowing_column_exits_numerical(self, tmp_path, capsys):
+        rows = [[f"s{i}", "1e308" if i % 2 else "-1e308", str(i % 7), str(i)] for i in range(20)]
+        code = self._fit_one_csv(tmp_path, ["id", "x0", "x1", "target"], rows)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert "feature 'x0' is too large to standardize" in err and "Traceback" not in err
+
+    def test_unparsable_csv_exits_data(self, tmp_path, capsys):
+        # A cell longer than the csv module's field limit.
+        code = self._fit_one_csv(tmp_path, ["id", "x0", "target"], [["s0", "1" * 200_000, "0"]])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "one.csv: line 2: field larger than field limit" in err
+
     def test_constant_target_exits_numerical(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         data = tmp_path / "flat.csv"
@@ -638,3 +764,100 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_NUMERICAL
         assert "constant on train" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Mangled input: whatever one edit does to a valid data set, `bouts fit`
+# ends with a documented exit code and, when it fails, names a file.
+
+TINY_SYNTH_ARGS = (
+    "--tasks", "2", "--features", "4", "--samples", "30",
+    "--n-universal", "1", "--n-specific", "1", "--seed", "0",
+)
+TASK_FILES = ("task0.csv", "task1.csv")
+CELL_TEXT = st.one_of(
+    st.sampled_from(["", "inf", "nan", "1e400", "\x00", "1e308", "-1e308"]),
+    st.text(max_size=8),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+CSV_PATHS = st.sampled_from([*TASK_FILES, "", "/", "a\x00.csv"]) | JSON_VALUES
+MANIFESTS = JSON_VALUES | st.fixed_dictionaries(
+    {"tasks": st.dictionaries(st.text(max_size=8), CSV_PATHS, max_size=3)}
+)
+
+
+@functools.cache
+def tiny_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as out:
+        assert run("synth", "--out", out, *TINY_SYNTH_ARGS) == cli.EXIT_OK
+        return {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)}
+
+
+def _mangle(files: dict[str, bytes], draw) -> None:
+    """Apply one drawn edit to ``files`` in place."""
+    kind = draw(st.sampled_from(["cell", "short_row", "duplicate_header", "bytes", "manifest"]))
+    if kind == "manifest":
+        files["manifest.json"] = json.dumps(draw(MANIFESTS)).encode()
+        return
+    if kind == "bytes":
+        name = draw(st.sampled_from([*TASK_FILES, "manifest.json"]))
+        at = draw(st.integers(0, len(files[name])))
+        drawn = draw(st.binary(max_size=32))
+        files[name] = draw(st.sampled_from([drawn, files[name][:at] + drawn + files[name][at:]]))
+        return
+    name = draw(st.sampled_from(TASK_FILES))
+    lines = files[name].decode().split("\n")  # the last element is the "" after the final newline
+    r = 0 if kind == "duplicate_header" else draw(st.integers(0, len(lines) - 2))
+    cells = lines[r].split(",")
+    if kind == "cell":  # drawn text, or a copy of another cell (say, another row's id)
+        other = st.sampled_from([c for line in lines for c in line.split(",")])
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(CELL_TEXT | other)
+    elif kind == "short_row":
+        del cells[draw(st.integers(1, len(cells) - 1)):]
+    else:
+        i, j = draw(st.lists(st.integers(0, len(cells) - 1), min_size=2, max_size=2, unique=True))
+        cells[j] = cells[i]
+    lines[r] = ",".join(cells)
+    files[name] = "\n".join(lines).encode()
+
+
+def _named_paths(manifest: bytes) -> list[str]:
+    """Absolute CSV paths a (possibly mangled) manifest names."""
+    try:
+        entries = json.loads(manifest)["tasks"]
+        return [p for p in entries.values() if isinstance(p, str) and os.path.isabs(p)]
+    except (AttributeError, KeyError, TypeError, ValueError):  # not a manifest at all
+        return []
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mangled_input_exits_with_a_documented_code(data):
+    files = dict(tiny_files())
+    _mangle(files, data.draw)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = os.path.join(tmp, "data")
+        os.makedirs(data_dir)
+        for name, content in files.items():
+            with open(os.path.join(data_dir, name), "wb") as fh:
+                fh.write(content)
+        with contextlib.redirect_stderr(err):
+            code = run(
+                "fit", "--manifest", os.path.join(data_dir, "manifest.json"),
+                "--out", os.path.join(tmp, "out"), "--rounds-universal", "1", "--rounds-task", "1",
+            )
+        if code == cli.EXIT_OK:  # what fit writes, predict must accept
+            cli._load_model(os.path.join(tmp, "out", "model.json"))
+    message = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_NUMERICAL), message
+    if code != cli.EXIT_OK:
+        assert message.startswith("error:"), message
+        named = [data_dir, *_named_paths(files["manifest.json"])]
+        assert any(p in message or repr(p) in message for p in named), message

@@ -17,8 +17,8 @@ from bouts.data import (
     load_task_csv,
     overlap_split,
     prune_features,
-    split_to_json,
     standardize_dataset,
+    write_json,
 )
 from bouts.errors import DataError, NumericalError
 
@@ -223,10 +223,11 @@ class TestOverlapSplit:
         with pytest.raises(DataError, match="ratios"):
             overlap_split([task], ratios=(float("nan"), 0.5, 0.5))
 
-    def test_serialization_lists_sample_ids(self):
+    def test_serialization_lists_sample_ids(self, tmp_path):
         task = make_task("t", [f"s{i}" for i in range(10)], np.zeros((10, 1)), np.arange(10.0))
         split = overlap_split([task], seed=2)
-        doc = json.loads(split_to_json(split, [task]))
+        write_json(tmp_path / "split.json", split.to_dict([task]))
+        doc = json.loads((tmp_path / "split.json").read_text())
         assert doc["seed"] == 2
         ids = doc["tasks"]["t"]
         assert sorted(ids["train"] + ids["val"] + ids["test"]) == sorted(task.sample_ids)

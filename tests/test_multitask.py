@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bouts.multitask import (
-    MultitaskNodeView,
     MultitaskTree,
     grow_multitask_tree,
     maximin_split,
@@ -17,10 +16,7 @@ Y4 = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 def view(pairs):
-    return MultitaskNodeView(
-        Xs=tuple(np.asarray(X, dtype=float) for X, _ in pairs),
-        ys=tuple(np.asarray(y, dtype=float) for _, y in pairs),
-    )
+    return [NodeView(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in pairs]
 
 
 def two_feature_gains(g0: float, g1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -41,15 +37,15 @@ def two_feature_gains(g0: float, g1: float) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def brute_force_maximin(node, used, lam, params):
+def brute_force_maximin(views, used, lam, params):
     """Independent enumeration of the maximin over features and thresholds."""
-    T = node.n_tasks
-    d = node.Xs[0].shape[1]
+    T = len(views)
+    d = views[0].X.shape[1]
     best = None
     for f in range(d):
         per_task = []
         for t in range(T):
-            X, y = node.Xs[t], node.ys[t]
+            X, y = views[t].X, views[t].y
             xs = np.unique(X[:, f])
             cand_best = None
             for lo, hi in zip(xs[:-1], xs[1:]):

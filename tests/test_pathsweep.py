@@ -145,7 +145,7 @@ class TestRegularizationPath:
 
     def test_json_and_csv_shapes(self):
         path = path_of([[0.9, 0.8], [0.7, 0.6]])
-        doc = json.loads(path.to_json())
+        doc = json.loads(json.dumps(path.to_dict()))
         assert doc["task_names"] == ["task0", "task1"]
         assert [p["lambda"] for p in doc["points"]] == [1.0, 2.0]
         assert doc["points"][0]["ev_train"] == [0.9, 0.8]
@@ -238,7 +238,8 @@ class TestSweep:
         # A penalty far above any gain selects nothing and scores zero.
         assert tight.universal == [] and tight.task_specific == [[], []]
         assert tight.ev_train == [0.0, 0.0]
-        assert loose.n_selected(0) == 2 and tight.n_selected(0) == 0
+        n_selected = [len(p.universal) + len(p.task_specific[0]) for p in (loose, tight)]
+        assert n_selected == [2, 0]
 
     def test_error_names_the_penalty(self):
         data = small_dataset()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouts.errors import NumericalError
-from bouts.multitask import MultitaskNodeView, MultitaskTree, grow_multitask_tree, maximin_split
+from bouts.multitask import MultitaskTree, grow_multitask_tree, maximin_split
 from bouts.trees import (
     FRIEDMAN,
     VARIANCE,
@@ -27,8 +27,7 @@ def node(X, y):
 
 def best_split(X, y, used, lam, params):
     """The split search on a one-task node."""
-    view = MultitaskNodeView((np.asarray(X, dtype=float),), (np.asarray(y, dtype=float),))
-    return maximin_split(view, used, lam, params)
+    return maximin_split([node(X, y)], used, lam, params)
 
 
 def grow(X, y, lam=0.0, params=None):
