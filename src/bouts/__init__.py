@@ -57,57 +57,3 @@ from .synth import SynthSpec, SynthTruth, generate, write_outputs
 from .trees import NodeView, TreeParams, penalized_gain, raw_gain
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoostConfig",
-    "BoutsError",
-    "BoutsModel",
-    "DataError",
-    "MultitaskDataset",
-    "MultitaskSplit",
-    "MultitaskTree",
-    "NodeView",
-    "NumericalError",
-    "RegularizationPath",
-    "SelectedPenalty",
-    "SelectionMatrix",
-    "SplitAssignment",
-    "StabilityReport",
-    "Standardizer",
-    "SynthSpec",
-    "SynthTruth",
-    "TaskDataset",
-    "TreeParams",
-    "build_category",
-    "cohens_d",
-    "explained_variance",
-    "feature_importances",
-    "fit",
-    "fit_single_task",
-    "fit_standardizer",
-    "generate",
-    "grow_multitask_tree",
-    "load_manifest",
-    "load_task_csv",
-    "log_grid",
-    "make_report",
-    "maximin_split",
-    "normalized_absolute_error",
-    "overlap_split",
-    "penalized_gain",
-    "prune_features",
-    "raw_gain",
-    "select_penalty",
-    "selection_replicates",
-    "spearman",
-    "stability",
-    "stability_ci",
-    "stability_variance",
-    "standardize_dataset",
-    "sweep",
-    "task_specific_features",
-    "universal_correlation_matrix",
-    "universal_features",
-    "write_outputs",
-    "ztest",
-]

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import MultitaskDataset, SplitAssignment
+from .data import MultitaskDataset, SplitAssignment, json_numbers
 from .errors import DataError
 from .multitask import MultitaskTree, grow_multitask_tree
-from .trees import TreeParams
+from .trees import TreeParams, sort_root
 
 # A single-leaf tree whose value is this close to zero adds nothing; the
 # round is skipped.  Residual means on standardized labels land here once
@@ -85,30 +85,35 @@ def _boost(
     lam: float,
     used: set[int],
     params: TreeParams,
-    on_round: Optional[Callable[[int, list[np.ndarray]], None]],
+    on_round: Optional[Callable[[int, list[np.ndarray], list[np.ndarray]], None]],
 ) -> tuple[list[MultitaskTree], list[list[float]]]:
     """The boosting loop of both stages, over one or more tasks.
 
     Grows up to ``rounds`` shared trees on the current ``residuals``,
     updating them and ``used`` in place, and calls ``on_round`` (if given)
-    with the tree count and the live residuals after each accepted round.
-    Returns the accepted trees and the per-task training MSE after each.  A
-    round producing a single leaf with every value ~0 is skipped; since
-    nothing changed, every later round would repeat it, so the loop exits.
+    after each accepted round with the tree count, the live residuals and
+    the round's per-task update of the training predictions.  Returns the
+    accepted trees and the per-task training MSE after each.  A round
+    producing a single leaf with every value ~0 is skipped; since nothing
+    changed, every later round would repeat it, so the loop exits.
     """
+    # X is the same in every round: sort each task's root once.
+    roots = [sort_root(X) for X in Xs]
     trees: list[MultitaskTree] = []
     history: list[list[float]] = []
     for _ in range(rounds):
-        tree = grow_multitask_tree(Xs, residuals, used, lam, params)
+        tree, leaf_of_row = grow_multitask_tree(Xs, residuals, used, lam, params, roots)
         if tree.is_stump_leaf and all(abs(v) <= DEGENERATE_TOL for v in tree.values[0]):
             break
         trees.append(tree)
         used |= tree.features_used
-        for t, X in enumerate(Xs):
-            residuals[t] -= learning_rate * tree.predict(t, X)
+        # The grower saw where each training row landed: no routing needed.
+        steps = [learning_rate * tree.values[leaves, t] for t, leaves in enumerate(leaf_of_row)]
+        for residual, step in zip(residuals, steps):
+            residual -= step
         history.append([_mse(r) for r in residuals])
         if on_round is not None:
-            on_round(len(trees), residuals)
+            on_round(len(trees), residuals, steps)
     return trees, history
 
 
@@ -121,16 +126,24 @@ def fit_single_task(
     used: Optional[set[int]] = None,
     params: Optional[TreeParams] = None,
     on_round: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> tuple[list[MultitaskTree], set[int], list[float]]:
     """Plain single-task gradient boosting on squared error.
 
     Returns the accepted T=1 trees, the final used-feature set (a mutated
     copy of ``used``), and the training MSE after each accepted round.
+    After each accepted round, ``on_round`` gets the tree count and a copy
+    of the residuals, and ``on_step`` the tree count and that round's update
+    of the training predictions (``learning_rate`` times each row's leaf).
     """
     used_now = set(used) if used is not None else set()
-    cb = None
-    if on_round is not None:
-        cb = lambda b, res: on_round(b, res[0].copy())
+
+    def cb(b: int, residuals: list[np.ndarray], steps: list[np.ndarray]) -> None:
+        if on_round is not None:
+            on_round(b, residuals[0].copy())
+        if on_step is not None:
+            on_step(b, steps[0])
+
     residuals = [np.array(y, dtype=np.float64)]
     trees, history = _boost(
         [X], residuals, rounds, learning_rate, lam, used_now, params or TreeParams(), cb
@@ -157,16 +170,10 @@ class BoutsModel:
 
     @property
     def universal_feature_indices(self) -> set[int]:
-        out: set[int] = set()
-        for tree in self.universal_trees:
-            out |= tree.features_used
-        return out
+        return set().union(*(tree.features_used for tree in self.universal_trees))
 
     def task_feature_indices(self, t: int) -> set[int]:
-        out: set[int] = set()
-        for tree in self.task_trees[t]:
-            out |= tree.features_used
-        return out
+        return set().union(*(tree.features_used for tree in self.task_trees[t]))
 
     def predict(self, t: int, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -200,6 +207,11 @@ class BoutsModel:
         ``f0`` entry is not finite or a tree is malformed (see ``MultitaskTree.from_dict``); a missing key
         raises KeyError and a mistyped value TypeError or ValueError.
         """
+        names, trees = (d["feature_names"], d["task_names"]), (d["universal_trees"], d["task_trees"])
+        if not all(type(n) is list and {*map(type, n)} <= {str} for n in names):
+            raise DataError("feature_names and task_names must be lists of strings")
+        if not all(type(ts) is list for ts in (*trees, *trees[1])):
+            raise DataError("universal_trees and task_trees must be lists")
         T, n_features = len(d["task_names"]), len(d["feature_names"])
         model = cls(
             config=BoostConfig.from_dict(d["config"]),
@@ -212,7 +224,7 @@ class BoutsModel:
                 [MultitaskTree.from_dict(tree, n_features, 1) for tree in trees]
                 for trees in d["task_trees"]
             ],
-            f0=[float(v) for v in d["f0"]],
+            f0=json_numbers(d["f0"], "f0"),
         )
         if len(model.f0) != T or len(model.task_trees) != T:
             raise DataError(
@@ -250,7 +262,7 @@ def fit(
     beta = config.learning_rate
     cb = None
     if on_round is not None:
-        cb = lambda b, res: on_round("universal", b, [r.copy() for r in res])
+        cb = lambda b, res, _: on_round("universal", b, [r.copy() for r in res])
     universal_trees, universal_mse = _boost(
         Xs, residuals, config.rounds_universal, beta, config.lambda_u, universal_used,
         config.tree, cb,
@@ -299,9 +311,9 @@ def feature_importances(model: BoutsModel, t: int) -> dict[str, float]:
     components = [(tree, t) for tree in model.universal_trees]
     components += [(tree, 0) for tree in model.task_trees[t]]
     for tree, k in components:
-        for i in range(tree.n_nodes):
-            if not tree.is_leaf(i):
-                totals[tree.feature[i]] = totals.get(tree.feature[i], 0.0) + tree.gains[i][k]
+        split = tree.feature != tree.LEAF
+        for f, g in zip(tree.feature[split].tolist(), tree.gains[split, k].tolist()):
+            totals[f] = totals.get(f, 0.0) + g
     grand = sum(totals.values())
     if grand <= 0.0:
         return {}

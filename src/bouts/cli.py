@@ -74,20 +74,24 @@ def _grid_base(text: str) -> float:
 FLAG_TYPES = {INTEGER: int, NUMBER: float, STRING: str, BASE: _grid_base}
 
 
-def _from_json(value, opt: Option):
-    """A config value as ``opt`` takes it; raises TypeError or ValueError if it is not one."""
+def _from_json(value, opt: Option, where: str):
+    """A config value as ``opt`` takes it; a ValueError naming ``where`` if it is not one."""
     number = {int, float}  # exact JSON types: a bool is not a number
-    if opt.kind == INTEGER and type(value) in number and value == int(value):
-        return int(value)
-    if opt.kind in (NUMBER, PENALTIES, BASE) and type(value) in number:
-        return float(value)
-    if opt.kind == FRACTION and type(value) in number and 0 < value < 1:
-        return float(value)
-    if opt.kind in (NUMBERS, PENALTIES) and type(value) is list and {*map(type, value)} <= number:
-        return [float(v) for v in value]
-    if opt.kind == BASE and isinstance(value, str) or opt.kind == STRING and value in opt.choices:
-        return FLAG_TYPES[opt.kind](value)
-    raise TypeError(opt.kind)
+    try:
+        if opt.kind == INTEGER and type(value) in number and value == int(value):
+            return int(value)
+        if opt.kind in (NUMBER, PENALTIES, BASE) and type(value) in number:
+            return float(value)
+        if opt.kind == FRACTION and type(value) in number and 0 < value < 1:
+            return float(value)
+        if opt.kind in (NUMBERS, PENALTIES) and type(value) is list and {*map(type, value)} <= number:
+            return [float(v) for v in value]
+        if opt.kind == BASE and isinstance(value, str) or opt.kind == STRING and value in opt.choices:
+            return FLAG_TYPES[opt.kind](value)
+    except (ValueError, OverflowError):
+        pass
+    want = f"one of {opt.choices}" if opt.choices else opt.kind
+    raise ValueError(f"{where}: {opt.key!r} must be {want}")
 
 
 # Each option is declared once; a subcommand registers the groups it reads.
@@ -134,12 +138,7 @@ def _settings(args: argparse.Namespace) -> dict:
         for key, value in cfg.items():
             if key not in table:
                 raise ValueError(f"config file {args.config}: {args.command} takes no key {key!r}")
-            opt = table[key]
-            try:
-                settings[key] = _from_json(value, opt)
-            except (TypeError, ValueError, OverflowError):
-                want = f"one of {opt.choices}" if opt.choices else opt.kind
-                raise ValueError(f"config file {args.config}: {key!r} must be {want}") from None
+            settings[key] = _from_json(value, table[key], f"config file {args.config}")
     settings.update((key, value) for key, value in vars(args).items() if key in table)
     return settings
 
@@ -158,13 +157,18 @@ def _boost_config(cfg: dict) -> BoostConfig:
     return BoostConfig(tree=tree, **(shared | own))
 
 
+def _naming(manifest: str, run, *args, **kwargs):
+    """``run(*args, **kwargs)``; a data or numerical error it raises names ``manifest``."""
+    try:
+        return run(*args, **kwargs)
+    except BoutsError as e:
+        raise type(e)(f"{manifest}: {e}") from None
+
+
 def _load_standardized(manifest: str, cfg: dict):
     dataset = load_manifest(manifest)
     split = overlap_split(dataset.tasks, **_pick(cfg, "ratios", "seed"))
-    try:
-        standardized, standardizers = standardize_dataset(dataset, split)
-    except NumericalError as e:
-        raise NumericalError(f"{manifest}: {e}") from None
+    standardized, standardizers = _naming(manifest, standardize_dataset, dataset, split)
     return dataset, standardized, standardizers, split
 
 
@@ -200,19 +204,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_json(os.path.join(args.out, "importances.json"), importances)
     write_json(os.path.join(args.out, "split.json"), split.to_dict(dataset.tasks))
 
-    rows = []
+    buf = ["task,n_test,nae_median,nae_q25,nae_q75"]
     for t, task in enumerate(standardized.tasks):
         test = split.test[t]
-        nae = pathsweep.normalized_absolute_error(
-            task.y[test], model.predict(t, task.X[test])
-        )
+        nae = pathsweep.normalized_absolute_error(task.y[test], model.predict(t, task.X[test]))
         q25, med, q75 = (
             (float(np.percentile(nae, q)) for q in (25, 50, 75)) if len(nae) else ("", "", "")
         )
-        rows.append([task.name, len(test), med, q25, q75])
-    buf = ["task,n_test,nae_median,nae_q25,nae_q75"]
-    for row in rows:
-        buf.append(",".join(str(v) for v in row))
+        buf.append(",".join(str(v) for v in (task.name, len(test), med, q25, q75)))
     _write_text(os.path.join(args.out, "metrics.csv"), "\n".join(buf) + "\n")
     return EXIT_OK
 
@@ -222,7 +221,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     config = _boost_config(cfg)
     grid = pathsweep.log_grid(**_pick(cfg, n_points="grid_points", base="grid_base"))
     _, standardized, _, split = _load_standardized(args.manifest, cfg)
-    path = pathsweep.sweep(standardized, split, config, grid)
+    path = _naming(args.manifest, pathsweep.sweep, standardized, split, config, grid)
     chosen = pathsweep.select_penalty(path, **_pick(cfg, "drop"))
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "path.csv"), path.to_csv())
@@ -248,7 +247,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
     dataset = load_manifest(args.manifest)
     variant = cfg.get("stability_variant", NORMALIZED)
     alpha = cfg.get("alpha", ALPHA)
-    Z_u, Z_tasks = selection_replicates(dataset, config, **_pick(cfg, "replicates", "seed", "jobs"))
+    Z_u, Z_tasks = _naming(
+        args.manifest, selection_replicates, dataset, config, **_pick(cfg, "replicates", "seed", "jobs")
+    )
     report = {
         "variant": variant,
         "alpha": alpha,
@@ -331,6 +332,9 @@ def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
     try:
         with open(path) as fh:
             bundle = json.load(fh)
+        saved = {**bundle["model"]["config"], **bundle["model"]["config"]["tree"]}
+        for opt in (opt for opt in BOOST if opt.key != "lam"):
+            _from_json(saved[opt.key], opt, "config")  # as a --config file must give it
         model = BoutsModel.from_dict(bundle["model"])
         standardizers = [
             Standardizer.from_dict(bundle["standardizers"][name]) for name in model.task_names
@@ -357,9 +361,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     elif len(model.task_names) == 1:
         task_name = model.task_names[0]
     else:
-        raise DataError(f"--task required; model covers {model.task_names}")
+        raise DataError(f"--task required; {args.model} covers {model.task_names}")
     if task_name not in model.task_names:
-        raise DataError(f"unknown task {task_name!r}; model covers {model.task_names}")
+        raise DataError(f"unknown task {task_name!r}; {args.model} covers {model.task_names}")
     t = model.task_names.index(task_name)
     standardizer = standardizers[t]
 
@@ -367,7 +371,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pos = {f: i for i, f in enumerate(task.feature_names)}
     missing = [f for f in model.feature_names if f not in pos]
     if missing:
-        raise DataError(f"{args.data}: lacks feature column {missing[0]!r}")
+        raise DataError(f"{args.data}: lacks feature column {missing[0]!r} of {args.model}")
     X = task.X[:, [pos[f] for f in model.feature_names]]
     # A column the model never splits on may hold missing cells; the others may not.
     used = sorted(model.universal_feature_indices | model.task_feature_indices(t))

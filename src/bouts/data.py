@@ -199,14 +199,12 @@ class SplitAssignment:
     test: list[np.ndarray]
 
     def to_dict(self, tasks: Sequence[TaskDataset]) -> dict:
-        out: dict = {"seed": self.seed, "tasks": {}}
-        for t, task in enumerate(tasks):
-            out["tasks"][task.name] = {
-                "train": [task.sample_ids[i] for i in self.train[t]],
-                "val": [task.sample_ids[i] for i in self.val[t]],
-                "test": [task.sample_ids[i] for i in self.test[t]],
-            }
-        return out
+        parts = {"train": self.train, "val": self.val, "test": self.test}
+        by_task = {
+            task.name: {key: [task.sample_ids[i] for i in part[t]] for key, part in parts.items()}
+            for t, task in enumerate(tasks)
+        }
+        return {"seed": self.seed, "tasks": by_task}
 
 
 def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
@@ -247,14 +245,8 @@ def overlap_split(
             for sid in shuffled[start : start + count]:
                 label[sid] = part
             start += count
-    train, val, test = [], [], []
-    for task in tasks:
-        parts: list[list[int]] = [[], [], []]
-        for i, sid in enumerate(task.sample_ids):
-            parts[label[sid]].append(i)
-        train.append(np.array(parts[0], dtype=np.intp))
-        val.append(np.array(parts[1], dtype=np.intp))
-        test.append(np.array(parts[2], dtype=np.intp))
+    labels = [np.array([label[sid] for sid in task.sample_ids], dtype=np.intp) for task in tasks]
+    train, val, test = ([np.flatnonzero(lab == part) for lab in labels] for part in range(3))
     return SplitAssignment(seed=seed, train=train, val=val, test=test)
 
 
@@ -286,12 +278,16 @@ class Standardizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
-        return cls(
-            x_mean=np.asarray(d["x_mean"], dtype=np.float64),
-            x_std=np.asarray(d["x_std"], dtype=np.float64),
-            y_mean=float(d["y_mean"]),
-            y_std=float(d["y_std"]),
-        )
+        x_mean, x_std = json_numbers(d["x_mean"], "x_mean"), json_numbers(d["x_std"], "x_std")
+        y_mean, y_std = json_numbers([d["y_mean"], d["y_std"]], "y_mean and y_std")
+        return cls(x_mean=np.array(x_mean), x_std=np.array(x_std), y_mean=y_mean, y_std=y_std)
+
+
+def json_numbers(value, what: str) -> list[float]:
+    """A decoded JSON list of numbers as floats; DataError for anything else."""
+    if type(value) is not list or not {*map(type, value)} <= {int, float}:
+        raise DataError(f"{what} must be a list of numbers")
+    return [*map(float, value)]
 
 
 def fit_standardizer(task: TaskDataset, train_idx: np.ndarray) -> Standardizer:

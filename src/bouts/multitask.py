@@ -7,22 +7,27 @@ feature, and the feature with the largest worst-task gain wins.
 
 This is the package's only tree.  A single-task tree is the T=1 case, where
 the maximin rule reduces to the plain argmax of the penalized gain; stage-2
-boosting and the downstream re-fits grow such trees.  ``MultitaskTree``
-also owns the two on-disk node layouts: per-task lists for universal trees
-and scalars for T=1 stage-2 trees.
+boosting and the downstream re-fits grow such trees.  ``MultitaskTree`` keeps
+its nodes in flat arrays and owns the two on-disk node layouts: per-task lists
+for universal trees and scalars for T=1 stage-2 trees.  The grower reads each
+node's rows as a feature-major gather, hands ``maximin_split`` the root's rows
+presorted (``trees.SortedRoot``), and returns the leaf each training row
+reached, so boosting never routes its own training rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
 
+from .data import json_numbers
 from .errors import DataError, NumericalError
-from .trees import TIE_MARGIN, NodeView, TreeParams, best_on_feature, raw_gain, scan_columns
+from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, best_on_feature, raw_gain
+from .trees import scan_columns, sort_root
 
 
 @dataclass(frozen=True)
@@ -39,34 +44,31 @@ def maximin_split(
     used_universal: AbstractSet[int],
     lambda_u: float,
     params: TreeParams,
+    roots: Optional[Sequence[SortedRoot]] = None,
 ) -> Optional[MultitaskSplit]:
     """Shared split feature maximizing the minimum per-task penalized gain.
 
     ``views`` holds one node view per task.  Pass one scores every feature:
     each task maximizes over its own midpoint thresholds, the per-feature
     score is the min across tasks, and the argmax feature wins (lowest index
-    on ties).  Pass two re-solves each task's
-    threshold and gain on the winning column with the definition-based ops;
-    features within the tie margin of the best score go through the same
-    re-solve so near-ties cannot be misordered by scan arithmetic.  Returns
-    None when the score is <= ``params.min_gain``.
+    on ties).  Pass two re-solves each task's threshold and gain on the
+    winning column with the definition-based ops; features within the tie
+    margin of the best score go through the same re-solve so near-ties cannot
+    be misordered by scan arithmetic.  Returns None when the score is <=
+    ``params.min_gain``.  ``roots`` (``sort_root`` of each view's rows) only
+    spares the scans their sorts.
     """
     if not views:
         raise ValueError("need one node view per task")
     d = views[0].X.shape[1]
-    new = np.ones(d, dtype=bool)
-    if used_universal:
-        new[list(used_universal)] = False
-    charges = np.where(new, lambda_u, 0.0)
-    # Per task: (raw gains, thresholds, ambiguous flags) over the d features.
+    charges = np.full(d, float(lambda_u))  # the charge for adding each feature
+    charges[list(used_universal)] = 0.0
+    # Per task: (raw gains, thresholds, candidate gains) over the d features.
     scans = [
-        scan_columns(view.X, view.y, params.min_samples_leaf, params.criterion) for view in views
+        scan_columns(view.X.T, view.y, params.min_samples_leaf, params.criterion, root)
+        for view, root in zip(views, roots or [None] * len(views))
     ]
-    pens = []
-    for raw, _, _ in scans:
-        pen = raw - charges
-        pen[~np.isfinite(raw)] = -np.inf
-        pens.append(pen)
+    pens = [np.where(np.isfinite(raw), raw - charges, -np.inf) for raw, _, _ in scans]
     score = reduce(np.minimum, pens)
     s_max = float(np.max(score)) if d else -np.inf
     if not np.isfinite(s_max):
@@ -80,20 +82,18 @@ def maximin_split(
         f = int(f)
         charge = float(charges[f])
         task_best: list[tuple[float, float, float]] = []
-        for t, (_, thresholds, ambiguous) in enumerate(scans):
-            if ambiguous[f]:
+        for t, (raw, thresholds, cand) in enumerate(scans):
+            v = float(thresholds[f])
+            # More than one candidate within the tie margin: re-solve.
+            if np.count_nonzero(cand[f] >= raw[f] - TIE_MARGIN * max(1.0, abs(raw[f]))) > 1:
                 resolved = best_on_feature(
                     views[t], f, charge, params.min_samples_leaf, params.criterion
                 )
                 if resolved is None:
                     break
-                g_pen, v = resolved
-                g_raw = float(raw_gain(views[t], f, v, params.criterion))
-            else:
-                v = float(thresholds[f])
-                g_raw = float(raw_gain(views[t], f, v, params.criterion))
-                g_pen = g_raw - charge
-            task_best.append((g_pen, v, g_raw))
+                v = resolved[1]
+            g_raw = float(raw_gain(views[t], f, v, params.criterion))
+            task_best.append((g_raw - charge, v, g_raw))
         if len(task_best) < len(views):
             continue
         sc = min(g for g, _, _ in task_best)
@@ -114,84 +114,80 @@ _SCALAR_KEYS = {
     "gains": "gain",
     "penalized_gains": "penalized_gain",
 }
+_SPLIT_KEYS = ("thresholds", "gains", "penalized_gains")
 
 
-@dataclass
+@dataclass(eq=False)
 class MultitaskTree:
     """Shared-topology tree: one feature per node, per-task thresholds/leaves.
 
-    Parallel node arrays (index 0 is the root).  ``feature[i] == -1`` marks
-    a leaf; ``thresholds[i]``, ``values[i]`` and the raw/penalized gains
-    achieved when the split was chosen hold one entry per task.
+    Flat node arrays in depth-first order, index 0 the root.  ``feature[i]
+    == LEAF`` marks a leaf, whose ``values[i]`` hold one prediction per task
+    (NaN at internal nodes).  An internal node's ``thresholds[i]`` and the
+    raw and penalized ``gains[i]`` achieved when its split was chosen hold
+    one entry per task (0 at leaves).
     """
 
-    n_tasks: int
-    feature: list[int] = field(default_factory=list)
-    thresholds: list[list[float]] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    values: list[list[float]] = field(default_factory=list)
-    gains: list[list[float]] = field(default_factory=list)
-    penalized_gains: list[list[float]] = field(default_factory=list)
+    feature: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,) child indices, LEAF at a leaf
+    right: np.ndarray  # (n_nodes,)
+    thresholds: np.ndarray  # (n_nodes, n_tasks)
+    values: np.ndarray  # (n_nodes, n_tasks)
+    gains: np.ndarray  # (n_nodes, n_tasks)
+    penalized_gains: np.ndarray  # (n_nodes, n_tasks)
 
     LEAF = -1
 
+    @classmethod
+    def leaves(cls, n_nodes: int, n_tasks: int) -> "MultitaskTree":
+        """``n_nodes`` unconnected leaves with NaN values, to be filled in."""
+        per_task = np.zeros((4, n_nodes, n_tasks))
+        per_task[1] = np.nan  # values
+        return cls(*np.full((3, n_nodes), cls.LEAF, dtype=np.intp), *per_task)
+
+    @property
+    def n_tasks(self) -> int:
+        return self.values.shape[1]
+
     @property
     def features_used(self) -> set[int]:
-        return {f for f in self.feature if f != self.LEAF}
+        return set(self.feature[self.feature != self.LEAF].tolist())
 
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
 
     def is_leaf(self, i: int) -> bool:
-        return self.feature[i] == self.LEAF
+        return bool(self.feature[i] == self.LEAF)
 
     @property
     def is_stump_leaf(self) -> bool:
         return self.n_nodes == 1 and self.is_leaf(0)
 
-    def add_leaf(self, values: Sequence[float]) -> int:
-        self.feature.append(self.LEAF)
-        self.thresholds.append([0.0] * self.n_tasks)
-        self.left.append(self.LEAF)
-        self.right.append(self.LEAF)
-        self.values.append(list(values))
-        self.gains.append([0.0] * self.n_tasks)
-        self.penalized_gains.append([0.0] * self.n_tasks)
-        return len(self.feature) - 1
-
-    def add_internal(
-        self, f: int, thresholds: Sequence[float], gains: Sequence[float], pen: Sequence[float]
-    ) -> int:
-        """Append a split on ``f``; one threshold, raw gain and penalized gain per task."""
-        self.feature.append(f)
-        self.thresholds.append(list(thresholds))
-        self.left.append(self.LEAF)
-        self.right.append(self.LEAF)
-        self.values.append([float("nan")] * self.n_tasks)
-        self.gains.append(list(gains))
-        self.penalized_gains.append(list(pen))
-        return len(self.feature) - 1
-
     def predict(self, task: int, X: np.ndarray) -> np.ndarray:
-        """Predictions of this tree's component for one task; ties go left."""
+        """Predictions of this tree's component for one task; ties go left.
+
+        A NaN in a column that some row is routed on raises NumericalError.
+        """
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0])
+        feature, left, right = self.feature, self.left, self.right
+        thresholds, values = self.thresholds[:, task], self.values[:, task]
         stack = [(0, np.arange(X.shape[0]))]
         while stack:
             i, idx = stack.pop()
             if idx.size == 0:
                 continue
-            if self.is_leaf(i):
-                out[idx] = self.values[i][task]
+            f = feature[i]
+            if f == self.LEAF:
+                out[idx] = values[i]
                 continue
-            col = X[idx, self.feature[i]]
+            col = X[idx, f]
             if np.isnan(col).any():
-                raise NumericalError(f"NaN at feature index {self.feature[i]} during prediction")
-            go_left = col <= self.thresholds[i][task]
-            stack.append((self.left[i], idx[go_left]))
-            stack.append((self.right[i], idx[~go_left]))
+                raise NumericalError(f"NaN at feature index {f} during prediction")
+            go_left = col <= thresholds[i]
+            stack.append((left[i], idx[go_left]))
+            stack.append((right[i], idx[~go_left]))
         return out
 
     def to_dict(self, scalar: bool = False) -> dict:
@@ -199,15 +195,16 @@ class MultitaskTree:
         stage-2 layout (one number per field, no ``n_tasks`` key)."""
         if scalar and self.n_tasks != 1:
             raise ValueError("only a single-task tree has a scalar layout")
+        left, right = self.left.tolist(), self.right.tolist()
+        rows = {key: getattr(self, key).tolist() for key in ("values", *_SPLIT_KEYS)}
         nodes = []
-        for i in range(self.n_nodes):
-            if self.is_leaf(i):
+        for i, f in enumerate(self.feature.tolist()):
+            if f == self.LEAF:
                 node, keys = {}, ("values",)
             else:
-                node = {"feature": self.feature[i], "left": self.left[i], "right": self.right[i]}
-                keys = ("thresholds", "gains", "penalized_gains")
+                node, keys = {"feature": f, "left": left[i], "right": right[i]}, _SPLIT_KEYS
             for key in keys:
-                row = getattr(self, key)[i]
+                row = rows[key][i]
                 node[_SCALAR_KEYS[key] if scalar else key] = row[0] if scalar else row
             nodes.append(node)
         return {"nodes": nodes} if scalar else {"n_tasks": self.n_tasks, "nodes": nodes}
@@ -226,35 +223,36 @@ class MultitaskTree:
         if d.get("n_tasks", 1) != n_tasks:
             raise DataError(f"tree covers {d.get('n_tasks', 1)!r} tasks, not {n_tasks}")
         nodes = d["nodes"]
-        if not nodes:
-            raise DataError("tree has no nodes")
+        if type(nodes) is not list or not nodes:
+            raise DataError("tree has no node list")
 
         def get(node: dict, key: str, i: int) -> list:
-            row = [node[_SCALAR_KEYS[key]]] if scalar else node[key]
+            row = json_numbers([node[_SCALAR_KEYS[key]]] if scalar else node[key], f"node {i}: {key}")
             if len(row) != n_tasks:
                 raise DataError(f"node {i}: {key} has {len(row)} entries for {n_tasks} tasks")
-            row = [float(v) for v in row]
             if not all(map(math.isfinite, row)):
                 raise DataError(f"node {i}: {key} holds a non-finite number")
             return row
 
-        tree = cls(n_tasks=n_tasks)
         n = len(nodes)
+        # Lists in field order, made into arrays once: a numpy store per node costs more.
+        links = [[cls.LEAF] * n for _ in range(3)]  # feature, left, right
+        per_task = ("thresholds", "values", "gains", "penalized_gains")
+        rows = {key: [[math.nan if key == "values" else 0.0] * n_tasks] * n for key in per_task}
         for i, node in enumerate(nodes):
             if ("value" if scalar else "values") in node:
-                tree.add_leaf(get(node, "values", i))
+                rows["values"][i] = get(node, "values", i)
                 continue
             f, left, right = node["feature"], node["left"], node["right"]
-            if not isinstance(f, int) or not 0 <= f < n_features:
+            if type(f) is not int or not 0 <= f < n_features:
                 raise DataError(f"node {i}: feature index {f!r} is not in 0..{n_features - 1}")
             for child in (left, right):
-                if not isinstance(child, int) or not i < child < n:
+                if type(child) is not int or not i < child < n:
                     raise DataError(f"node {i}: child index {child!r} is not in {i + 1}..{n - 1}")
-            keys = ("thresholds", "gains", "penalized_gains")
-            j = tree.add_internal(f, *(get(node, key, i) for key in keys))
-            tree.left[j] = left
-            tree.right[j] = right
-        return tree
+            links[0][i], links[1][i], links[2][i] = f, left, right
+            for key in _SPLIT_KEYS:
+                rows[key][i] = get(node, key, i)
+        return cls(*np.array(links, dtype=np.intp), *np.array(list(rows.values())))
 
 
 def grow_multitask_tree(
@@ -263,7 +261,8 @@ def grow_multitask_tree(
     used_universal: AbstractSet[int] = frozenset(),
     lambda_u: float = 0.0,
     params: Optional[TreeParams] = None,
-) -> MultitaskTree:
+    roots: Optional[Sequence[SortedRoot]] = None,
+) -> tuple[MultitaskTree, list[np.ndarray]]:
     """Grow one shared-topology tree over all tasks' current targets.
 
     A node position turns into a leaf (for every task) when the depth limit
@@ -272,6 +271,10 @@ def grow_multitask_tree(
     feature introduced at an ancestor node counts as used for every
     descendant split, so ``lambda_u`` is charged once per feature the tree
     adds to the model.
+
+    Returns the tree and, per task, the index of the leaf each row of
+    ``Xs[t]`` reaches.  ``roots`` (``sort_root`` of each ``Xs[t]``) lets a
+    caller that grows many trees on the same rows sort them once.
     """
     if params is None:
         params = TreeParams()
@@ -280,23 +283,45 @@ def grow_multitask_tree(
         raise ValueError("need one (X, y) pair per task")
     if any(len(y) == 0 for y in ys):
         raise ValueError("cannot grow a tree on zero samples")
+    if roots is None:
+        roots = [sort_root(X) for X in Xs]
     used_now = set(used_universal)
-    tree = MultitaskTree(n_tasks=n_tasks)
     min_split = 2 * params.min_samples_leaf
+    # Every leaf holds at least min_samples_leaf rows of each task, which
+    # bounds the node count more tightly than the depth does on small sets.
+    n_leaves = min(len(y) for y in ys) // params.min_samples_leaf
+    capacity = max(1, min(2 * n_leaves - 1, 2 ** (min(params.max_depth, 62) + 1) - 1))
+    tree = MultitaskTree.leaves(capacity, n_tasks)
+    leaf_of_row = [np.empty(len(y), dtype=np.intp) for y in ys]
+    n_nodes = 0
 
     def build(idxs: list[np.ndarray], depth: int) -> int:
+        nonlocal n_nodes
+        i, n_nodes = n_nodes, n_nodes + 1
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
-            views = [NodeView(X[idx], y[idx]) for X, y, idx in zip(Xs, ys, idxs)]
-            split = maximin_split(views, used_now, lambda_u, params)
+            # The root reads every row: no gather, and its sort is prepared.
+            at_root = depth == 0
+            cols = [root.XT if at_root else root.XT[:, idx] for root, idx in zip(roots, idxs)]
+            views = [NodeView(XT.T, y if at_root else y[idx]) for XT, y, idx in zip(cols, ys, idxs)]
+            split = maximin_split(views, used_now, lambda_u, params, roots if at_root else None)
         if split is None:
-            return tree.add_leaf([float(np.mean(y[idx])) for y, idx in zip(ys, idxs)])
-        used_now.add(split.feature)
-        i = tree.add_internal(split.feature, split.thresholds, split.raw_gains, split.gains)
-        go_left = [Xs[t][idxs[t], split.feature] <= split.thresholds[t] for t in range(n_tasks)]
+            for t, (y, idx) in enumerate(zip(ys, idxs)):
+                tree.values[i, t] = np.mean(y[idx])
+                leaf_of_row[t][idx] = i
+            return i
+        f = split.feature
+        used_now.add(f)
+        tree.feature[i] = f
+        tree.thresholds[i] = split.thresholds
+        tree.gains[i] = split.raw_gains
+        tree.penalized_gains[i] = split.gains
+        go_left = [XT[f] <= v for XT, v in zip(cols, split.thresholds)]
         tree.left[i] = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
         tree.right[i] = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
         return i
 
     build([np.arange(len(y)) for y in ys], 0)
-    return tree
+    del build  # it refers to itself: break that cycle so its arrays are freed now
+    trimmed = MultitaskTree(*(getattr(tree, f.name)[:n_nodes] for f in fields(tree)))
+    return trimmed, leaf_of_row

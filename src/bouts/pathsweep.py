@@ -148,39 +148,39 @@ def downstream_scores(
     beta = DOWNSTREAM_LEARNING_RATE
     for t, task in enumerate(dataset.tasks):
         cols = sorted(selected[t])
-        ytr = task.y[split.train[t]]
-        yva = task.y[split.val[t]]
-        yte = task.y[split.test[t]]
+        ytr, yva, yte = (task.y[part[t]] for part in (split.train, split.val, split.test))
         if not cols:
             evs.append(0.0)
             naes.append(np.abs(yte))
             continue
         Xtr = task.X[np.ix_(split.train[t], cols)]
-        Xva = task.X[np.ix_(split.val[t], cols)]
-        Xte = task.X[np.ix_(split.test[t], cols)]
+        # Validation rows, then test rows: each tree routes both at once.
+        Xvt = task.X[np.ix_(np.concatenate([split.val[t], split.test[t]]), cols)]
+        n_va = len(yva)
         best = None
         for depth in DOWNSTREAM_DEPTHS:
+            # Training rows are not routed: their leaf values, summed in tree order.
+            f_tr, f_tr_at = np.zeros(len(ytr)), {}
+
+            def on_step(b: int, step: np.ndarray, f_tr=f_tr, f_tr_at=f_tr_at) -> None:
+                f_tr += step
+                if b in DOWNSTREAM_ROUNDS:
+                    f_tr_at[b] = f_tr.copy()
+
             params = replace(tree_params, max_depth=depth)
             trees, _, _ = fit_single_task(
-                Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params
+                Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_step=on_step
             )
-            f_tr = np.zeros(len(ytr))
-            f_va = np.zeros(len(yva))
-            f_te = np.zeros(len(yte))
-            marks = sorted({min(r, len(trees)) for r in DOWNSTREAM_ROUNDS})
+            f_tr_at[len(trees)] = f_tr
+            f_vt = np.zeros(len(Xvt))
             done = 0
-            for mark in marks:
+            for mark in sorted({min(r, len(trees)) for r in DOWNSTREAM_ROUNDS}):
                 for tree in trees[done:mark]:
-                    f_tr += beta * tree.predict(0, Xtr)
-                    if len(yva):
-                        f_va += beta * tree.predict(0, Xva)
-                    if len(yte):
-                        f_te += beta * tree.predict(0, Xte)
+                    f_vt += beta * tree.predict(0, Xvt)
                 done = mark
-                val_mse = (
-                    float(np.mean((yva - f_va) ** 2)) if len(yva) else float(np.mean((ytr - f_tr) ** 2))
-                )
-                cand = (val_mse, depth, mark, explained_variance(ytr, f_tr), np.abs(yte - f_te))
+                fit_error = yva - f_vt[:n_va] if n_va else ytr - f_tr_at[mark]
+                ev = explained_variance(ytr, f_tr_at[mark])
+                cand = (float(np.mean(fit_error**2)), depth, mark, ev, np.abs(yte - f_vt[n_va:]))
                 if best is None or cand[0] < best[0]:
                     best = cand
         evs.append(float(best[3]))
@@ -207,15 +207,15 @@ def sweep(
         config = replace(base_config, lambda_u=float(lam), lambda_task=float(lam))
         try:
             model = fit(dataset, split, config)
+            selected = [
+                model.universal_feature_indices | model.task_feature_indices(t)
+                for t in range(dataset.n_tasks)
+            ]
+            evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
         except Exception as e:
             raise type(e)(f"penalty {lam}: {e}") from e
         uni = universal_features(model)
         spec = [task_specific_features(model, t) for t in range(dataset.n_tasks)]
-        selected = [
-            model.universal_feature_indices | model.task_feature_indices(t)
-            for t in range(dataset.n_tasks)
-        ]
-        evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
         points.append(
             PathPoint(lam=float(lam), universal=uni, task_specific=spec, ev_train=evs, nae_test=naes)
         )

@@ -30,7 +30,7 @@ from .data import (
     overlap_split,
     standardize_dataset,
 )
-from .errors import DataError, NumericalError
+from .errors import BoutsError, DataError, NumericalError
 
 PAPER_FORMULA = "paper_formula"
 NORMALIZED = "normalized"
@@ -272,27 +272,23 @@ def universal_correlation_matrix(
 
 
 def _replicate_rows(
-    dataset: MultitaskDataset, config: BoostConfig, seed: int
+    dataset: MultitaskDataset, config: BoostConfig, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One replicate: a fresh split, one universal row, T single-task rows."""
-    split = overlap_split(dataset.tasks, seed=seed)
-    standardized, _ = standardize_dataset(dataset, split)
-    d = len(dataset.candidate_features)
-
-    # Universal selections do not depend on stage 2, so skip it here.
-    uni_config = replace(config, rounds_task=0)
-    model_u = fit(standardized, split, uni_config)
-    row_u = np.zeros(d)
-    for f in model_u.universal_feature_indices:
-        row_u[f] = 1.0
-
-    single_config = replace(config, rounds_universal=0)
-    model_s = fit(standardized, split, single_config)
-    rows_t = np.zeros((dataset.n_tasks, d))
+    """Replicate m: a fresh split, one universal row, T single-task rows; an
+    error names the replicate and its split seed."""
+    try:
+        split = overlap_split(dataset.tasks, seed=seed)
+        standardized, _ = standardize_dataset(dataset, split)
+        # Universal selections do not depend on stage 2, so skip it here.
+        model_u = fit(standardized, split, replace(config, rounds_task=0))
+        model_s = fit(standardized, split, replace(config, rounds_universal=0))
+    except BoutsError as e:
+        raise type(e)(f"replicate {m} (split seed {seed}): {e}") from None
+    rows = np.zeros((1 + dataset.n_tasks, len(dataset.candidate_features)))
+    rows[0, list(model_u.universal_feature_indices)] = 1.0
     for t in range(dataset.n_tasks):
-        for f in model_s.task_feature_indices(t):
-            rows_t[t, f] = 1.0
-    return row_u, rows_t
+        rows[1 + t, list(model_s.task_feature_indices(t))] = 1.0
+    return rows[0], rows[1:]
 
 
 def selection_replicates(
@@ -315,14 +311,15 @@ def selection_replicates(
             "stability replicates compare universal and single-task selections; "
             "both stage budgets must be >= 1"
         )
+    args = ([dataset] * replicates, [config] * replicates, range(replicates))
     seeds = [seed + m for m in range(replicates)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, replicates)) as pool:
-            results = list(pool.map(_replicate_rows, [dataset] * replicates, [config] * replicates, seeds))
+            results = list(pool.map(_replicate_rows, *args, seeds))
     else:
-        results = [_replicate_rows(dataset, config, s) for s in seeds]
+        results = list(map(_replicate_rows, *args, seeds))
     names = list(dataset.candidate_features)
     Z_u = np.stack([r[0] for r in results])
     Z_t = np.stack([r[1] for r in results])  # (M, T, d)

@@ -6,7 +6,10 @@ is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
 
-``scan_columns`` scores every feature at once with prefix sums;
+``scan_columns`` scores every feature at once with prefix sums over a
+feature-major (d, n) matrix.  A node below the root sorts its own rows; the
+root sees the same rows in every boosting round, so ``sort_root`` sorts them
+once and each root scan only gathers the current targets in that order.
 ``best_on_feature`` and ``raw_gain`` re-score from the definition where the
 scan cannot be trusted to order near-ties.  The only tree built on these
 scores, and the only split search, live in ``multitask`` (a single-task tree
@@ -104,54 +107,71 @@ def penalized_gain(
 TIE_MARGIN = 1e-9
 
 
+@dataclass(frozen=True)
+class SortedRoot:
+    """One task's training rows, feature-major and sorted once per boosting run."""
+
+    XT: np.ndarray  # (d, n) one row per feature
+    order: np.ndarray  # (d, n) argsort of each row of XT
+    xs: np.ndarray  # (d, n) XT sorted along each row
+    distinct: np.ndarray  # (d, n - 1) xs[:, j + 1] > xs[:, j]
+
+
+def sort_root(X: np.ndarray) -> SortedRoot:
+    """The ``SortedRoot`` of the (n, d) matrix ``X``."""
+    return _sorted(np.ascontiguousarray(np.asarray(X, dtype=np.float64).T))
+
+
+def _sorted(XT: np.ndarray) -> SortedRoot:
+    order = np.argsort(XT, axis=1)
+    xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
+    return SortedRoot(XT, order, xs, xs[:, 1:] > xs[:, :-1])
+
+
 def scan_columns(
-    X: np.ndarray,
+    XT: np.ndarray,
     y: np.ndarray,
     min_samples_leaf: int,
     criterion: str,
+    root: Optional[SortedRoot] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Approximate best raw gain and threshold per feature.
+    """Approximate best raw gain and threshold per feature of ``XT`` (d, n).
 
-    Returns ``(gains, thresholds, ambiguous)`` of length d; a feature with
-    no valid split gets gain -inf.  ``ambiguous[f]`` flags a feature whose
-    top candidates are within the tie margin of each other, meaning the
-    prefix-sum arithmetic used here cannot be trusted to order them.
+    ``root``, when given, is ``sort_root`` of these very rows and spares the
+    sort.  Returns ``(gains, thresholds, cand)``: per feature its best gain
+    (-inf when it has no valid split) and threshold, and its gain at every
+    boundary leaving ``min_samples_leaf`` rows on each side (-inf where the
+    values on both sides are equal).
     """
-    n, d = X.shape
-    if n < 2 or n < 2 * min_samples_leaf:
-        return np.full(d, -np.inf), np.zeros(d), np.zeros(d, dtype=bool)
+    d, n = XT.shape
+    m = min_samples_leaf
+    if n < 2 or n < 2 * m:
+        return np.full(d, -np.inf), np.zeros(d), np.empty((d, 0))
     # Default introsort: ties among equal x values only permute rows inside
     # a run of duplicates, and boundaries inside such runs are never valid
     # candidates, so candidate sums differ by at most rounding noise, which
     # the tie margin absorbs.
-    order = np.argsort(X, axis=0)
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1, :]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    if root is None:
+        root = _sorted(XT)
+    csum = np.cumsum(y[root.order], axis=1)
+    total = csum[:, -1:]
+    # Boundary j of the window leaves m + j samples on the left.
+    s_left = csum[:, m - 1 : n - m]
+    n_left = np.arange(m, n - m + 1, dtype=np.float64)
     n_right = n - n_left
-    s_left = csum[:-1, :]
-    s_right = total[None, :] - s_left
+    s_right = total - s_left
     if criterion == FRIEDMAN:
         diff = s_left / n_left - s_right / n_right
         cand = (n_left * n_right / n) * diff * diff
     else:
         cand = (s_left * s_left / n_left + s_right * s_right / n_right - total * total / n) / n
-    valid = xs[1:, :] > xs[:-1, :]
-    if min_samples_leaf > 1:
-        valid &= (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-    cand = np.where(valid, cand, -np.inf)
-    pos = np.argmax(cand, axis=0)  # first max = lowest threshold
-    cols = np.arange(d)
-    gains = cand[pos, cols]
-    thresholds = 0.5 * (xs[pos, cols] + xs[pos + 1, cols])
-    finite = np.isfinite(gains)
-    thresholds[~finite] = 0.0
-    tol = TIE_MARGIN * np.maximum(1.0, np.abs(gains))
-    close = (cand >= gains[None, :] - tol[None, :]).sum(axis=0)
-    ambiguous = finite & (close > 1)
-    return gains, thresholds, ambiguous
+    np.putmask(cand, ~root.distinct[:, m - 1 : n - m], -np.inf)
+    pos = np.argmax(cand, axis=1)  # first max = lowest threshold
+    rows = np.arange(d)
+    gains = cand[rows, pos]
+    thresholds = 0.5 * (root.xs[rows, pos + m - 1] + root.xs[rows, pos + m])
+    thresholds[~np.isfinite(gains)] = 0.0
+    return gains, thresholds, cand
 
 
 def best_on_feature(

@@ -40,6 +40,7 @@ from bouts.trees import (
     TreeParams,
     penalized_gain,
     raw_gain,
+    sort_root,
 )
 
 GAIN_TOL = 1e-12
@@ -257,6 +258,31 @@ def test_a2_maximin_oracle_equivalence():
     assert elapsed < 10.0
     print(f"A2 maximin-oracle equivalence: PASS ({n_instances} instances, "
           f"{n_splits} with a split, {elapsed:.1f}s)")
+
+
+def test_root_preparation_leaves_the_split_unchanged():
+    """``maximin_split`` with each task's rows sorted beforehand (as boosting
+    sorts the root once) returns exactly the split it finds sorting them itself,
+    on the A1 and A2 generators, whose integer and rounded columns tie."""
+    rng = np.random.default_rng(3)
+    n_splits = 0
+    for _ in range(600):
+        T = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 6))
+        Xs = [random_columns(rng, int(rng.integers(2, 33)), d) for _t in range(T)]
+        views = [NodeView(X, random_targets(rng, X)) for X in Xs]
+        used = {f for f in range(d) if rng.random() < 0.5}
+        lam = float(rng.choice([0.0, 0.1, 0.5]))
+        params = TreeParams(
+            max_depth=1,
+            min_samples_leaf=int(rng.integers(1, 3)),
+            min_gain=0.0,
+            criterion=str(rng.choice(CRITERIA)),
+        )
+        got = maximin_split(views, used, lam, params, [sort_root(X) for X in Xs])
+        assert got == maximin_split(views, used, lam, params)
+        n_splits += got is not None
+    assert n_splits > 200
 
 
 # ---------------------------------------------------------------------------

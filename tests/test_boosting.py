@@ -1,11 +1,15 @@
 """Two-stage boosting: configs, the fit loop, selections, and importances."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from bouts.boosting import (
     BoostConfig,
     BoutsModel,
+    _boost,
     feature_importances,
     fit,
     fit_single_task,
@@ -13,11 +17,12 @@ from bouts.boosting import (
     universal_features,
 )
 from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset
-from bouts.errors import DataError
+from bouts.errors import DataError, NumericalError
 from bouts.multitask import MultitaskTree
 from bouts.trees import TreeParams
 
 STUMPS = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=1e-7)
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def make_dataset(Xs, ys, feature_names=None):
@@ -344,3 +349,75 @@ class TestFeatureImportances:
         model.universal_trees = []
         model.task_trees = [[], []]
         assert feature_importances(model, 0) == {}
+
+
+class TestTrainingRowsAreNotRouted:
+    """Boosting reads each training row's leaf from the grower; these pin that
+    the numbers equal, bit for bit, those of routing the rows through each tree."""
+
+    def test_residuals_equal_routed_residuals(self):
+        rng = np.random.default_rng(26)
+        Xs = [np.round(rng.normal(size=(n, 6)), 1) for n in (40, 55, 70)]
+        ys = [X[:, 0] - X[:, 1] ** 2 + 0.3 * rng.normal(size=len(X)) for X in Xs]
+        params = TreeParams(max_depth=3, min_samples_leaf=3)
+        for T in (1, 3):
+            residuals = [y.copy() for y in ys[:T]]
+            trees, _ = _boost(Xs[:T], residuals, 12, 0.1, 0.05, set(), params, None)
+            assert len(trees) == 12
+            for t in range(T):
+                routed = ys[t].copy()
+                for tree in trees:
+                    routed -= 0.1 * tree.predict(t, Xs[t])
+                np.testing.assert_array_equal(residuals[t], routed)
+
+    def test_on_step_sums_to_routed_predictions(self):
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(80, 5))
+        y = np.sin(X[:, 0]) + X[:, 2] + 0.2 * rng.normal(size=80)
+        fitted, snapshots = np.zeros(80), []
+
+        def on_step(b, step):
+            fitted[:] += step
+            snapshots.append(fitted.copy())
+
+        trees, _, _ = fit_single_task(X, y, 15, 0.1, params=TreeParams(min_samples_leaf=4),
+                                      on_step=on_step)
+        routed = np.zeros(80)
+        for tree, snapshot in zip(trees, snapshots, strict=True):
+            routed += 0.1 * tree.predict(0, X)
+            np.testing.assert_array_equal(snapshot, routed)
+
+
+class TestFlatTreeRouting:
+    def test_predict_equals_a_walk_one_row_at_a_time(self):
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        rng = np.random.default_rng(28)
+        components = [(tree, t) for tree in model.universal_trees for t in range(2)]
+        components += [(tree, 0) for trees in model.task_trees for tree in trees]
+        assert any(tree.n_nodes > 3 for tree, _ in components)
+        for tree, t in components:
+            X = rng.normal(size=(200, len(model.feature_names)))
+            for row, i in enumerate(np.flatnonzero(tree.feature != tree.LEAF)):
+                X[row, tree.feature[i]] = tree.thresholds[i][t]  # a tie, which goes left
+            walked = []
+            for row in X:
+                i = 0
+                while not tree.is_leaf(i):
+                    go_left = row[tree.feature[i]] <= tree.thresholds[i][t]
+                    i = tree.left[i] if go_left else tree.right[i]
+                walked.append(tree.values[i][t])
+            np.testing.assert_array_equal(tree.predict(t, X), walked)
+
+    def test_nan_in_a_split_column_raises(self):
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        tree = max(model.universal_trees, key=lambda tree: tree.n_nodes)
+        X = np.zeros((3, len(model.feature_names)))
+        unused = sorted(set(range(X.shape[1])) - tree.features_used)
+        X[:, unused] = np.nan
+        assert np.isfinite(tree.predict(0, X)).all()
+        root = int(tree.feature[0])  # every row is routed on it
+        X[1, root] = np.nan
+        with pytest.raises(NumericalError, match=f"feature index {root} "):
+            tree.predict(0, X)

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -27,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from bouts import cli, pathsweep
 from bouts.boosting import BoutsModel
-from bouts.data import Standardizer, load_task_csv
+from bouts.data import Standardizer, load_manifest, load_task_csv, overlap_split
+from bouts.errors import NumericalError
 from bouts.multitask import MultitaskTree
 from bouts.schemas import load_schema
 
@@ -765,6 +767,48 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
         assert "constant on train" in capsys.readouterr().err
 
+    def test_failing_path_point_names_the_manifest_and_penalty(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise NumericalError("explained variance is undefined for a constant target")
+
+        monkeypatch.setattr(pathsweep, "downstream_scores", fail)
+        manifest = os.path.join(synth_dir, "manifest.json")
+        code = run(
+            "path", "--manifest", manifest, "--out", str(tmp_path / "out"),
+            "--grid-points", "2", "--rounds-universal", "2", "--rounds-task", "2",
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        assert err.startswith(f"error: {manifest}: penalty {pathsweep.log_grid(2)[0]}: explained")
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failing_stability_replicate_is_named(self, jobs, tmp_path, capsys):
+        # x0 is 1 in one row only: a replicate whose training partition
+        # leaves that row out finds x0 constant, and the study stops.
+        rng = np.random.default_rng(0)
+        with open(tmp_path / "a.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "x0", "x1", "target"])
+            for i in range(10):
+                writer.writerow([f"s{i}", int(i == 0), repr(rng.random()), repr(rng.random())])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"tasks": {"a": "a.csv"}}))
+        code = run(
+            "stability", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+            "--replicates", "6", "--seed", "5", "--jobs", jobs,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERICAL
+        m, seed = map(int, re.search(r"replicate (\d+) \(split seed (\d+)\)", err).groups())
+        assert err.startswith(f"error: {manifest}: replicate {m} ")
+        assert "task 'a': feature 'x0' is constant on train" in err
+        assert (m, seed) == (4, 9)  # seeds 5..8 keep that row in train
+        # That replicate's split does leave the one nonzero x0 row out of train.
+        train = overlap_split(load_manifest(str(manifest)).tasks, seed=seed).train[0]
+        assert 0 not in train
+
 
 # ---------------------------------------------------------------------------
 # Mangled input: whatever one edit does to a valid data set, `bouts fit`
@@ -861,3 +905,66 @@ def test_mangled_input_exits_with_a_documented_code(data):
         assert message.startswith("error:"), message
         named = [data_dir, *_named_paths(files["manifest.json"])]
         assert any(p in message or repr(p) in message for p in named), message
+
+
+# ---------------------------------------------------------------------------
+# Mangled model bundles: whatever one edit does to a saved model, `bouts
+# predict` ends with exit 0 or 3 and, when it fails, names the file; a bundle
+# it accepts is one the shipped schema accepts.
+
+PER_TASK_KEYS = {"values", "thresholds", "gains", "penalized_gains", "f0", "task_trees"}
+BUNDLE_VALUES = JSON_VALUES | st.integers(-3, 12)
+
+
+def _locations(obj, path=()):
+    """The path of every value inside a JSON document (the root excluded)."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+def _edit_bundle(bundle: dict, draw) -> None:
+    """Apply one drawn edit to ``bundle`` in place."""
+    where = list(_locations(bundle))
+    kind = draw(st.sampled_from(["delete", "replace", "repoint", "cut"]))
+    if kind == "delete":
+        where = [p for p in where if isinstance(p[-1], str)]
+    elif kind == "repoint":
+        where = [p for p in where if p[-1] in ("left", "right")]
+    elif kind == "cut":
+        where = [p for p in where if p[-1] in PER_TASK_KEYS]
+    path = draw(st.sampled_from(where))
+    parent = functools.reduce(lambda obj, key: obj[key], path[:-1], bundle)
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "replace":
+        parent[path[-1]] = draw(BUNDLE_VALUES)
+    elif kind == "repoint":
+        parent[path[-1]] = draw(st.integers(-1, 12))
+    else:
+        value = parent[path[-1]]
+        parent[path[-1]] = value[: draw(st.integers(0, max(0, len(value) - 1)))]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mangled_model_bundle_exits_with_a_documented_code(data):
+    bundle = read_json(os.path.join(DATA_DIR, "model.json"))
+    _edit_bundle(bundle, data.draw)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        with open(model, "w") as fh:
+            json.dump(bundle, fh)
+        with contextlib.redirect_stderr(err):
+            code = run(
+                "predict", "--model", model, "--data", os.path.join(DATA_DIR, "task0.csv"),
+                "--task", "task0", "--out", os.path.join(tmp, "pred.csv"),
+            )
+    message = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA), message
+    if code == cli.EXIT_OK:
+        jsonschema.validate(instance=bundle, schema=load_schema("model"))
+    else:
+        assert message.startswith("error:") and model in message, message

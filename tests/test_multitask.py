@@ -124,14 +124,14 @@ class TestMaximinSplit:
 
 class TestGrowMultitaskTree:
     def test_pure_roots_single_leaf(self):
-        tree = grow_multitask_tree(
+        tree, _ = grow_multitask_tree(
             [X4, X4], [np.full(4, 2.0), np.full(4, -1.0)], params=LOOSE
         )
         assert tree.is_stump_leaf
         assert tree.values[0] == pytest.approx([2.0, -1.0])
 
     def test_stump_example(self):
-        tree = grow_multitask_tree([X4, X4], [Y4, Y4], params=LOOSE)
+        tree, _ = grow_multitask_tree([X4, X4], [Y4, Y4], params=LOOSE)
         assert tree.feature[0] == 0
         assert tree.thresholds[0] == pytest.approx([2.5, 2.5])
         for t in range(2):
@@ -142,7 +142,7 @@ class TestGrowMultitaskTree:
         params = TreeParams(max_depth=2, min_samples_leaf=2, min_gain=0.0, criterion=VARIANCE)
         small = (np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 2.0]))
         big = (X4, Y4)
-        tree = grow_multitask_tree(
+        tree, _ = grow_multitask_tree(
             [big[0], small[0]], [big[1], small[1]], params=params
         )
         assert tree.is_stump_leaf
@@ -151,10 +151,10 @@ class TestGrowMultitaskTree:
         rng = np.random.default_rng(13)
         Xs = [rng.normal(size=(40, 4)) for _ in range(3)]
         ys = [X[:, 0] + rng.normal(size=40) * 0.1 for X in Xs]
-        tree = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
         for i in range(tree.n_nodes):
             if not tree.is_leaf(i):
-                assert isinstance(tree.feature[i], int)
+                assert np.ndim(tree.feature[i]) == 0
                 assert len(tree.thresholds[i]) == 3
 
     def test_t1_node_for_node_equals_single_task(self):
@@ -165,13 +165,14 @@ class TestGrowMultitaskTree:
         y = np.sin(X[:, 1]) + 0.3 * X[:, 2] + rng.normal(size=60) * 0.1
         params = TreeParams(max_depth=3, min_samples_leaf=3, min_gain=1e-7)
         for lam in (0.0, 0.5):
-            st = grow_multitask_tree([X], [y], lambda_u=lam, params=params)
-            mt = grow_multitask_tree([X, X], [y, y], lambda_u=lam, params=params)
+            st, _ = grow_multitask_tree([X], [y], lambda_u=lam, params=params)
+            mt, _ = grow_multitask_tree([X, X], [y, y], lambda_u=lam, params=params)
             assert st.n_tasks == 1
             assert st.n_nodes > 1
-            assert mt.feature == st.feature
+            np.testing.assert_array_equal(mt.feature, st.feature)
             assert [thr[0] for thr in mt.thresholds] == [thr[0] for thr in st.thresholds]
-            assert mt.left == st.left and mt.right == st.right
+            np.testing.assert_array_equal(mt.left, st.left)
+            np.testing.assert_array_equal(mt.right, st.right)
             # Internal nodes carry NaN values, so compare NaN-aware.
             np.testing.assert_array_equal(
                 [val[0] for val in mt.values], [val[0] for val in st.values]
@@ -181,7 +182,7 @@ class TestGrowMultitaskTree:
         rng = np.random.default_rng(15)
         Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [rng.normal(size=30) for _ in range(2)]
-        tree = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
         for t in range(2):
             pred = tree.predict(t, Xs[t])
             # Residual sums vanish within each leaf when values are means.
@@ -193,9 +194,9 @@ class TestSerialization:
         rng = np.random.default_rng(16)
         Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [rng.normal(size=30) for _ in range(2)]
-        tree = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
         clone = MultitaskTree.from_dict(tree.to_dict(), 3, 2)
-        assert clone.feature == tree.feature
-        assert clone.thresholds == tree.thresholds
+        np.testing.assert_array_equal(clone.feature, tree.feature)
+        np.testing.assert_array_equal(clone.thresholds, tree.thresholds)
         for t in range(2):
             assert np.allclose(clone.predict(t, Xs[t]), tree.predict(t, Xs[t]))

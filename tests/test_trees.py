@@ -32,8 +32,9 @@ def best_split(X, y, used, lam, params):
 
 def grow(X, y, lam=0.0, params=None):
     """A T=1 tree grown on one task."""
-    return grow_multitask_tree([np.asarray(X, dtype=float)], [np.asarray(y, dtype=float)],
-                               lambda_u=lam, params=params)
+    tree, _ = grow_multitask_tree([np.asarray(X, dtype=float)], [np.asarray(y, dtype=float)],
+                                  lambda_u=lam, params=params)
+    return tree
 
 
 class TestTreeParams:
@@ -202,8 +203,7 @@ class TestGrowTree:
 
 class TestPredict:
     def test_single_leaf_constant(self):
-        tree = MultitaskTree(n_tasks=1)
-        tree.add_leaf([2.0])
+        tree = MultitaskTree.from_dict({"nodes": [{"value": 2.0}]}, 1, 1)
         assert tree.predict(0, np.array([[123.0]]))[0] == 2.0
 
     def test_stump_routing(self):
@@ -242,8 +242,8 @@ class TestSerialization:
         assert {"value"} in [set(n) for n in encoded["nodes"]]
         clone = MultitaskTree.from_dict(encoded, 3, 1)
         assert clone.n_tasks == 1
-        assert clone.feature == tree.feature
-        assert clone.thresholds == tree.thresholds
+        np.testing.assert_array_equal(clone.feature, tree.feature)
+        np.testing.assert_array_equal(clone.thresholds, tree.thresholds)
         assert np.allclose(clone.predict(0, X), tree.predict(0, X))
         assert clone.features_used == tree.features_used
         assert clone.to_dict(scalar=True) == encoded
