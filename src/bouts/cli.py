@@ -443,8 +443,8 @@ def _keep_freed_heap() -> None:
 
     Every node's split scan allocates and frees a few hundred KB of temporaries.
     With glibc's default trim threshold the freed top of the heap is returned
-    after each scan and the next scan faults it in again: about a million page
-    faults, a quarter of the run time, in a 2-point ``path`` on the planted
+    after each scan and the next scan faults it in again: about 400 000 page
+    faults, a fifth of the run time, in a 2-point ``path`` on the planted
     3x50x500 set.  Where the C library has no ``mallopt`` this does nothing.
     """
     M_TRIM_THRESHOLD = -1

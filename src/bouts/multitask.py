@@ -7,18 +7,23 @@ feature, and the feature with the largest worst-task gain wins.
 
 This is the package's only tree.  A single-task tree is the T=1 case, where
 the maximin rule reduces to the plain argmax of the penalized gain; stage-2
-boosting and the downstream re-fits grow such trees.  ``MultitaskTree`` keeps
-its nodes in flat arrays and owns the two on-disk node layouts: per-task lists
-for universal trees and scalars for T=1 stage-2 trees.  The grower reads each
-node's rows as a feature-major gather, hands ``maximin_split`` the root's rows
-presorted (``trees.SortedRoot``), and returns the leaf each training row
-reached, so boosting never routes its own training rows.
+boosting and the downstream re-fits grow such trees.  ``maximin_split`` takes
+every candidate split from ``trees.scan_columns`` and re-scores only the
+candidates the scan cannot tell apart from a feature's best with the
+definition, ``trees.raw_gain``.  ``MultitaskTree`` keeps its nodes in flat
+arrays, which ``MultitaskTree.of_nodes`` builds from one record per node for
+the grower and the decoder alike, and owns the two on-disk node layouts:
+per-task lists for universal trees and scalars for T=1 stage-2 trees.  The
+grower reads each node's rows as a feature-major gather, hands
+``maximin_split`` the root's rows presorted (``trees.SortedRoot``), and
+returns the leaf each training row reached, so boosting never routes its own
+training rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import AbstractSet, Optional, Sequence
 
@@ -26,8 +31,7 @@ import numpy as np
 
 from .data import json_numbers
 from .errors import DataError, NumericalError
-from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, best_on_feature, raw_gain
-from .trees import scan_columns, sort_root
+from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, raw_gain, scan_columns, sort_root
 
 
 @dataclass(frozen=True)
@@ -51,24 +55,27 @@ def maximin_split(
     ``views`` holds one node view per task.  Pass one scores every feature:
     each task maximizes over its own midpoint thresholds, the per-feature
     score is the min across tasks, and the argmax feature wins (lowest index
-    on ties).  Pass two re-solves each task's threshold and gain on the
-    winning column with the definition-based ops; features within the tie
-    margin of the best score go through the same re-solve so near-ties cannot
-    be misordered by scan arithmetic.  Returns None when the score is <=
+    on ties).  Pass two re-scores, for each feature within the tie margin of
+    the best score and each task, every candidate within the tie margin of
+    that task's best with the definition-based ``raw_gain`` and keeps the
+    first maximum (the lowest threshold on ties), so near-ties cannot be
+    misordered by scan arithmetic.  Returns None when the score is <=
     ``params.min_gain``.  ``roots`` (``sort_root`` of each view's rows) only
     spares the scans their sorts.
     """
     if not views:
         raise ValueError("need one node view per task")
     d = views[0].X.shape[1]
+    m = params.min_samples_leaf
     charges = np.full(d, float(lambda_u))  # the charge for adding each feature
     charges[list(used_universal)] = 0.0
-    # Per task: (raw gains, thresholds, candidate gains) over the d features.
-    scans = [
-        scan_columns(view.X.T, view.y, params.min_samples_leaf, params.criterion, root)
+    # Per task: the (d, n - 2m + 1) candidate gains and each feature's best.
+    cands = [
+        scan_columns(view.X.T, view.y, m, params.criterion, root)
         for view, root in zip(views, roots or [None] * len(views))
     ]
-    pens = [np.where(np.isfinite(raw), raw - charges, -np.inf) for raw, _, _ in scans]
+    raws = [cand.max(axis=1, initial=-np.inf) for cand in cands]
+    pens = [np.where(np.isfinite(raw), raw - charges, -np.inf) for raw in raws]
     score = reduce(np.minimum, pens)
     s_max = float(np.max(score)) if d else -np.inf
     if not np.isfinite(s_max):
@@ -78,28 +85,23 @@ def maximin_split(
         return None
     shortlist = np.flatnonzero(np.isfinite(score) & (score >= s_max - tol))
     best = None  # (score, feature, per-task (penalized gain, threshold, raw))
-    for f in shortlist:
-        f = int(f)
+    for f in shortlist.tolist():
         charge = float(charges[f])
-        task_best: list[tuple[float, float, float]] = []
-        for t, (raw, thresholds, cand) in enumerate(scans):
-            v = float(thresholds[f])
-            # More than one candidate within the tie margin: re-solve.
-            if np.count_nonzero(cand[f] >= raw[f] - TIE_MARGIN * max(1.0, abs(raw[f]))) > 1:
-                resolved = best_on_feature(
-                    views[t], f, charge, params.min_samples_leaf, params.criterion
-                )
-                if resolved is None:
-                    break
-                v = resolved[1]
-            g_raw = float(raw_gain(views[t], f, v, params.criterion))
-            task_best.append((g_raw - charge, v, g_raw))
-        if len(task_best) < len(views):
-            continue
+        task_best = []
+        for view, cand, raw in zip(views, cands, raws):
+            xs = np.sort(view.X[:, f])
+            near = np.flatnonzero(cand[f] >= raw[f] - TIE_MARGIN * max(1.0, abs(raw[f])))
+            top = None  # (penalized gain, threshold, raw gain)
+            for j in near.tolist():
+                v = float(0.5 * (xs[m + j - 1] + xs[m + j]))
+                g_raw = raw_gain(view, f, v, params.criterion)
+                if top is None or g_raw - charge > top[0]:
+                    top = (g_raw - charge, v, g_raw)
+            task_best.append(top)
         sc = min(g for g, _, _ in task_best)
         if best is None or sc > best[0]:
             best = (sc, f, task_best)
-    if best is None or best[0] <= params.min_gain:
+    if best[0] <= params.min_gain:
         return None
     sc, f, task_best = best
     gains, thresholds, raw_gains = zip(*task_best)
@@ -139,11 +141,15 @@ class MultitaskTree:
     LEAF = -1
 
     @classmethod
-    def leaves(cls, n_nodes: int, n_tasks: int) -> "MultitaskTree":
-        """``n_nodes`` unconnected leaves with NaN values, to be filled in."""
-        per_task = np.zeros((4, n_nodes, n_tasks))
-        per_task[1] = np.nan  # values
-        return cls(*np.full((3, n_nodes), cls.LEAF, dtype=np.intp), *per_task)
+    def of_nodes(cls, records: Sequence[tuple]) -> "MultitaskTree":
+        """The tree whose node ``i`` is ``records[i]``.
+
+        A record is ``(feature, left, right, thresholds, values, gains,
+        penalized_gains)``, the last four with one number per task.
+        """
+        feature, left, right, *per_task = zip(*records)
+        links = np.array([feature, left, right], dtype=np.intp)
+        return cls(*links, *np.array(per_task, dtype=np.float64))
 
     @property
     def n_tasks(self) -> int:
@@ -213,15 +219,16 @@ class MultitaskTree:
     def from_dict(cls, d: dict, n_features: int, n_tasks: int) -> "MultitaskTree":
         """Decode either layout (a dict without ``n_tasks`` is scalar).
 
-        Raises DataError unless the tree covers ``n_tasks`` tasks, every
-        per-task field has that many finite entries, every split feature is below
-        ``n_features``, and every child index points forward (past its
-        parent) inside the node list, which rules out cycles before anything
-        is routed.  Missing keys raise KeyError.
+        Raises DataError unless the tree covers ``n_tasks`` tasks (an int, not
+        a bool), every per-task field has that many finite entries, every
+        split feature is below ``n_features``, and every child index points
+        forward (past its parent) inside the node list, which rules out cycles
+        before anything is routed.  Missing keys raise KeyError.
         """
         scalar = "n_tasks" not in d
-        if d.get("n_tasks", 1) != n_tasks:
-            raise DataError(f"tree covers {d.get('n_tasks', 1)!r} tasks, not {n_tasks}")
+        covered = d.get("n_tasks", 1)
+        if type(covered) is not int or covered != n_tasks:
+            raise DataError(f"tree covers {covered!r} tasks, not {n_tasks}")
         nodes = d["nodes"]
         if type(nodes) is not list or not nodes:
             raise DataError("tree has no node list")
@@ -235,13 +242,12 @@ class MultitaskTree:
             return row
 
         n = len(nodes)
-        # Lists in field order, made into arrays once: a numpy store per node costs more.
-        links = [[cls.LEAF] * n for _ in range(3)]  # feature, left, right
-        per_task = ("thresholds", "values", "gains", "penalized_gains")
-        rows = {key: [[math.nan if key == "values" else 0.0] * n_tasks] * n for key in per_task}
+        zeros, nans = [0.0] * n_tasks, [math.nan] * n_tasks
+        records = []
         for i, node in enumerate(nodes):
             if ("value" if scalar else "values") in node:
-                rows["values"][i] = get(node, "values", i)
+                values = get(node, "values", i)
+                records.append((cls.LEAF, cls.LEAF, cls.LEAF, zeros, values, zeros, zeros))
                 continue
             f, left, right = node["feature"], node["left"], node["right"]
             if type(f) is not int or not 0 <= f < n_features:
@@ -249,10 +255,9 @@ class MultitaskTree:
             for child in (left, right):
                 if type(child) is not int or not i < child < n:
                     raise DataError(f"node {i}: child index {child!r} is not in {i + 1}..{n - 1}")
-            links[0][i], links[1][i], links[2][i] = f, left, right
-            for key in _SPLIT_KEYS:
-                rows[key][i] = get(node, key, i)
-        return cls(*np.array(links, dtype=np.intp), *np.array(list(rows.values())))
+            thresholds, gains, penalized_gains = (get(node, key, i) for key in _SPLIT_KEYS)
+            records.append((f, left, right, thresholds, nans, gains, penalized_gains))
+        return cls.of_nodes(records)
 
 
 def grow_multitask_tree(
@@ -287,17 +292,14 @@ def grow_multitask_tree(
         roots = [sort_root(X) for X in Xs]
     used_now = set(used_universal)
     min_split = 2 * params.min_samples_leaf
-    # Every leaf holds at least min_samples_leaf rows of each task, which
-    # bounds the node count more tightly than the depth does on small sets.
-    n_leaves = min(len(y) for y in ys) // params.min_samples_leaf
-    capacity = max(1, min(2 * n_leaves - 1, 2 ** (min(params.max_depth, 62) + 1) - 1))
-    tree = MultitaskTree.leaves(capacity, n_tasks)
+    LEAF = MultitaskTree.LEAF
+    zeros, nans = (0.0,) * n_tasks, (math.nan,) * n_tasks
+    records: list[Optional[tuple]] = []  # MultitaskTree.of_nodes records, depth first
     leaf_of_row = [np.empty(len(y), dtype=np.intp) for y in ys]
-    n_nodes = 0
 
     def build(idxs: list[np.ndarray], depth: int) -> int:
-        nonlocal n_nodes
-        i, n_nodes = n_nodes, n_nodes + 1
+        i = len(records)
+        records.append(None)  # filled in once its children are numbered
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
             # The root reads every row: no gather, and its sort is prepared.
@@ -306,22 +308,19 @@ def grow_multitask_tree(
             views = [NodeView(XT.T, y if at_root else y[idx]) for XT, y, idx in zip(cols, ys, idxs)]
             split = maximin_split(views, used_now, lambda_u, params, roots if at_root else None)
         if split is None:
-            for t, (y, idx) in enumerate(zip(ys, idxs)):
-                tree.values[i, t] = np.mean(y[idx])
-                leaf_of_row[t][idx] = i
+            for rows, idx in zip(leaf_of_row, idxs):
+                rows[idx] = i
+            values = tuple(np.mean(y[idx]) for y, idx in zip(ys, idxs))
+            records[i] = (LEAF, LEAF, LEAF, zeros, values, zeros, zeros)
             return i
         f = split.feature
         used_now.add(f)
-        tree.feature[i] = f
-        tree.thresholds[i] = split.thresholds
-        tree.gains[i] = split.raw_gains
-        tree.penalized_gains[i] = split.gains
         go_left = [XT[f] <= v for XT, v in zip(cols, split.thresholds)]
-        tree.left[i] = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
-        tree.right[i] = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
+        left = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
+        right = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
+        records[i] = (f, left, right, split.thresholds, nans, split.raw_gains, split.gains)
         return i
 
     build([np.arange(len(y)) for y in ys], 0)
     del build  # it refers to itself: break that cycle so its arrays are freed now
-    trimmed = MultitaskTree(*(getattr(tree, f.name)[:n_nodes] for f in fields(tree)))
-    return trimmed, leaf_of_row
+    return MultitaskTree.of_nodes(records), leaf_of_row

@@ -6,14 +6,15 @@ is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
 
-``scan_columns`` scores every feature at once with prefix sums over a
-feature-major (d, n) matrix.  A node below the root sorts its own rows; the
-root sees the same rows in every boosting round, so ``sort_root`` sorts them
-once and each root scan only gathers the current targets in that order.
-``best_on_feature`` and ``raw_gain`` re-score from the definition where the
-scan cannot be trusted to order near-ties.  The only tree built on these
-scores, and the only split search, live in ``multitask`` (a single-task tree
-is its T=1 case).
+``scan_columns`` is the one enumeration of candidate splits: it scores every
+boundary of every feature at once with prefix sums over a feature-major
+(d, n) matrix.  A node below the root sorts its own rows; the root sees the
+same rows in every boosting round, so ``sort_root`` sorts them once and each
+root scan only gathers the current targets in that order.  The scan's
+arithmetic cannot be trusted to order near-ties, so the split search re-scores
+the candidates within ``TIE_MARGIN`` of a feature's best with ``raw_gain``,
+the definition.  The only tree built on these scores, and the only split
+search, live in ``multitask`` (a single-task tree is its T=1 case).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class NodeView:
         return len(self.y)
 
 
-def raw_gain(node: NodeView, f: int, v: float, criterion: str = VARIANCE) -> float:
+def raw_gain(node: NodeView, f: int, v: float, criterion: str) -> float:
     """Unpenalized quality of splitting ``node`` on feature ``f`` at ``v``.
 
     The variance criterion is the classic weighted impurity decrease; the
@@ -94,7 +95,7 @@ def penalized_gain(
     v: float,
     used: AbstractSet[int],
     lam: float,
-    criterion: str = VARIANCE,
+    criterion: str,
 ) -> float:
     """``raw_gain`` minus ``lam`` when ``f`` would be a new feature."""
     g = raw_gain(node, f, v, criterion)
@@ -113,8 +114,7 @@ class SortedRoot:
 
     XT: np.ndarray  # (d, n) one row per feature
     order: np.ndarray  # (d, n) argsort of each row of XT
-    xs: np.ndarray  # (d, n) XT sorted along each row
-    distinct: np.ndarray  # (d, n - 1) xs[:, j + 1] > xs[:, j]
+    distinct: np.ndarray  # (d, n - 1) whether sorted value j + 1 exceeds value j
 
 
 def sort_root(X: np.ndarray) -> SortedRoot:
@@ -125,7 +125,7 @@ def sort_root(X: np.ndarray) -> SortedRoot:
 def _sorted(XT: np.ndarray) -> SortedRoot:
     order = np.argsort(XT, axis=1)
     xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
-    return SortedRoot(XT, order, xs, xs[:, 1:] > xs[:, :-1])
+    return SortedRoot(XT, order, xs[:, 1:] > xs[:, :-1])
 
 
 def scan_columns(
@@ -134,19 +134,19 @@ def scan_columns(
     min_samples_leaf: int,
     criterion: str,
     root: Optional[SortedRoot] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Approximate best raw gain and threshold per feature of ``XT`` (d, n).
+) -> np.ndarray:
+    """Approximate raw gain of every candidate split of every feature of ``XT`` (d, n).
 
     ``root``, when given, is ``sort_root`` of these very rows and spares the
-    sort.  Returns ``(gains, thresholds, cand)``: per feature its best gain
-    (-inf when it has no valid split) and threshold, and its gain at every
-    boundary leaving ``min_samples_leaf`` rows on each side (-inf where the
-    values on both sides are equal).
+    sort.  Returns the (d, n - 2m + 1) gains, m = ``min_samples_leaf``:
+    column j is the boundary that leaves the m + j lowest values of a feature
+    on its left, at the midpoint of sorted values m + j - 1 and m + j, and
+    holds -inf where those two values are equal.
     """
     d, n = XT.shape
     m = min_samples_leaf
     if n < 2 or n < 2 * m:
-        return np.full(d, -np.inf), np.zeros(d), np.empty((d, 0))
+        return np.empty((d, 0))
     # Default introsort: ties among equal x values only permute rows inside
     # a run of duplicates, and boundaries inside such runs are never valid
     # candidates, so candidate sums differ by at most rounding noise, which
@@ -166,36 +166,4 @@ def scan_columns(
     else:
         cand = (s_left * s_left / n_left + s_right * s_right / n_right - total * total / n) / n
     np.putmask(cand, ~root.distinct[:, m - 1 : n - m], -np.inf)
-    pos = np.argmax(cand, axis=1)  # first max = lowest threshold
-    rows = np.arange(d)
-    gains = cand[rows, pos]
-    thresholds = 0.5 * (root.xs[rows, pos + m - 1] + root.xs[rows, pos + m])
-    thresholds[~np.isfinite(gains)] = 0.0
-    return gains, thresholds, cand
-
-
-def best_on_feature(
-    node: NodeView,
-    f: int,
-    charge: float,
-    min_samples_leaf: int,
-    criterion: str,
-) -> Optional[tuple[float, float]]:
-    """Definition-based best (penalized gain, threshold) for one feature.
-
-    Enumerates every midpoint between consecutive distinct values and keeps
-    the first maximum, i.e. the lowest threshold on ties.
-    """
-    col = node.X[:, f]
-    xs = np.unique(col)
-    n = len(node)
-    best = None
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        v = (lo + hi) / 2.0
-        n_left = int((col <= v).sum())
-        if min(n_left, n - n_left) < min_samples_leaf:
-            continue
-        g = raw_gain(node, f, v, criterion) - charge
-        if best is None or g > best[0]:
-            best = (float(g), float(v))
-    return best
+    return cand

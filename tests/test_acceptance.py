@@ -36,6 +36,7 @@ from bouts.stability import (
 from bouts.synth import SynthSpec, generate
 from bouts.trees import (
     CRITERIA,
+    VARIANCE,
     NodeView,
     TreeParams,
     penalized_gain,
@@ -183,6 +184,30 @@ def test_a1_split_oracle_equivalence():
     assert elapsed < 10.0
     print(f"A1 split-oracle equivalence: PASS ({n_instances} instances, "
           f"{n_splits} with a split, {elapsed:.1f}s)")
+
+
+def test_a1_definition_overrides_the_scan_on_a_tie():
+    """Instance 52 of A1's generator.  Feature 1 wins, and its two boundaries
+    both split y = [1, 2, 0] into one lone row and a pair.  The scan scores the
+    two alike and its first maximum is the lower midpoint.  The definition
+    scores the upper one higher, and the split takes the upper midpoint, as
+    plain enumeration does."""
+    X = np.array([
+        [-0.3, -0.3522447692622993, -0.5952491751840291],
+        [0.5, 1.3762055289095616, 1.668150629718043],
+        [-1.3, -0.7434350846307666, 0.0464148224834097],
+    ])
+    node = NodeView(X, np.array([1.0, 2.0, 0.0]))
+    used, lam = {1, 2}, 0.1
+    params = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
+    col = np.sort(X[:, 1])
+    lower, upper = (col[0] + col[1]) / 2.0, (col[1] + col[2]) / 2.0
+    assert raw_gain(node, 1, lower, params.criterion) < raw_gain(node, 1, upper, params.criterion)
+
+    got = maximin_split([node], used, lam, params)
+    want = enumerate_best_single(node, used, lam, params)
+    assert got.feature == want[1] == 1
+    assert got.thresholds[0] == want[2] == upper
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,33 @@ class TestModelFile:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    def test_boolean_task_count_of_a_one_task_model_exits_data(self, tmp_path, capsys):
+        # True == 1, so only a type check tells this from the one task it covers.
+        data, out = str(tmp_path / "data"), str(tmp_path / "fit")
+        synth = (
+            "--tasks", "1", "--features", "4", "--samples", "40",
+            "--n-universal", "1", "--n-specific", "1", "--seed", "0",
+        )
+        assert run("synth", "--out", data, *synth) == cli.EXIT_OK
+        manifest = os.path.join(data, "manifest.json")
+        code = run("fit", "--manifest", manifest, "--out", out, *FIT_ARGS)
+        assert code == cli.EXIT_OK
+        bundle = read_json(os.path.join(out, "model.json"))
+        assert bundle["model"]["universal_trees"]
+        for tree in bundle["model"]["universal_trees"]:
+            assert tree["n_tasks"] == 1
+            tree["n_tasks"] = True
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(bundle))
+        code = run(
+            "predict", "--model", str(bad), "--data", os.path.join(data, "task0.csv"),
+            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert str(bad) in err
+        assert "Traceback" not in err
+
 
 class TestPathCommand:
     def test_writes_schema_valid_artifacts(self, synth_dir, tmp_path, monkeypatch):
