@@ -385,8 +385,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "y_true", "y_pred"])
-        for sid, yt, yp in zip(task.sample_ids, task.y, y_pred):
-            writer.writerow([sid, repr(float(yt)), repr(float(yp))])
+        writer.writerows(
+            zip(task.sample_ids, map(repr, task.y.tolist()), map(repr, y_pred.tolist()))
+        )
     return EXIT_OK
 
 

@@ -1,9 +1,13 @@
 """Datasets, CSV ingestion, pruning, standardization, and leakage-free splits.
 
 CSV convention: header row, first column is the sample id, last column the
-target, everything between is a feature.  Empty cells and the literal "NaN"
-parse as NaN; NaN targets, infinite cells and duplicate feature headers are
-rejected.
+target, everything between is a feature.  A cell is read by Python's
+``float()`` rules: surrounding whitespace, ``_`` digit separators and
+non-ASCII decimal digits are accepted.  Empty cells and "NaN" are missing
+(NaN).  Rows are read in file order, so the first cell that is not a number
+is the one reported.  ``inf``/``infinity`` parse, and are then rejected as
+infinite once the whole file is read.  NaN targets and duplicate feature
+headers are rejected too.
 
 The train/validation/test split stratifies by membership signature: sample
 ids are grouped by the exact subset of tasks containing them, each group is
@@ -124,21 +128,27 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
                 raise DataError(f"{path}: duplicate feature column {dup!r}")
             ids: list[str] = []
             line_numbers: list[int] = []
-            rows: list[list[float]] = []
-            targets: list[float] = []
+            rows: list[np.ndarray] = []  # each row's features, then its target
             width = len(header)
             for r, record in enumerate(reader, start=2):
                 if not record:
                     continue
                 if len(record) != width:
                     raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
+                cells = record[1:]
+                if "" in cells:  # missing: "nan" reads as the NaN _parse_cell gives
+                    cells = ["nan" if c == "" else c for c in cells]
+                try:  # float() on every cell, in C
+                    values = np.array(cells, dtype=np.float64)
+                except ValueError:  # a blank cell, or a bad one to name
+                    values = np.array(
+                        [_parse_cell(c, path, r, j) for j, c in enumerate(record[1:], start=2)]
+                    )
+                if math.isnan(values[-1]):
+                    raise DataError(f"{path}: row {r}: target value is NaN")
                 ids.append(record[0].strip())
                 line_numbers.append(r)
-                rows.append([_parse_cell(c, path, r, j + 2) for j, c in enumerate(record[1:-1])])
-                target = _parse_cell(record[-1], path, r, width)
-                if math.isnan(target):
-                    raise DataError(f"{path}: row {r}: target value is NaN")
-                targets.append(target)
+                rows.append(values)
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
         except csv.Error as e:
@@ -149,8 +159,9 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
         dup = _first_duplicate(ids)
         first, again = [line_numbers[i] for i, sid in enumerate(ids) if sid == dup][:2]
         raise DataError(f"{path}: row {again}: duplicate sample id {dup!r} (row {first})")
-    X = np.array(rows, dtype=np.float64)
-    y = np.array(targets, dtype=np.float64)
+    table = np.array(rows)
+    del rows  # the row arrays go before the copies below are made
+    X, y = table[:, :-1].copy(), table[:, -1].copy()
     inf_rows = np.flatnonzero(np.isinf(X).any(axis=1) | np.isinf(y))
     if len(inf_rows):
         i = int(inf_rows[0])

@@ -83,7 +83,7 @@ def raw_gain(node: NodeView, f: int, v: float, criterion: str) -> float:
     y_right = node.y[~left]
     if criterion == FRIEDMAN:
         n_right = n - n_left
-        diff = float(np.mean(y_left)) - float(np.mean(y_right))
+        diff = float(y_left.sum() / y_left.size) - float(y_right.sum() / y_right.size)
         return n_left * n_right / n * diff * diff
     w_left = n_left / n
     return float(np.var(node.y) - w_left * np.var(y_left) - (1.0 - w_left) * np.var(y_right))

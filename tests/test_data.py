@@ -1,7 +1,9 @@
 """CSV ingestion, pruning, category assembly, splits, and standardization."""
 
+import csv
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from bouts.data import (
     MultitaskDataset,
     TaskDataset,
+    _first_duplicate,
     _largest_remainder,
     build_category,
     fit_standardizer,
@@ -96,6 +99,149 @@ class TestLoadTaskCsv:
         p.write_text("id,f1,target\n")
         with pytest.raises(DataError, match="no data rows"):
             load_task_csv(str(p))
+
+
+def per_cell_load(path):
+    """Reference reader: every cell through its own float() call, as load_task_csv once did.
+
+    Returns (feature_names, ids, X, y) or raises DataError with the same message.
+    """
+
+    def parse_cell(raw, row, col):
+        text = raw.strip()
+        if text == "" or text.lower() == "nan":
+            return math.nan
+        try:
+            return float(text)
+        except ValueError:
+            raise DataError(
+                f"{path}: row {row}, column {col}: cannot parse {raw!r} as a number"
+            ) from None
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: file is empty")
+            if len(header) < 3:
+                raise DataError(f"{path}: need at least id, one feature, and target columns")
+            feature_names = [h.strip() for h in header[1:-1]]
+            if len(set(feature_names)) != len(feature_names):
+                dup = _first_duplicate(feature_names)
+                raise DataError(f"{path}: duplicate feature column {dup!r}")
+            ids, line_numbers, rows, targets = [], [], [], []
+            width = len(header)
+            for r, record in enumerate(reader, start=2):
+                if not record:
+                    continue
+                if len(record) != width:
+                    raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
+                ids.append(record[0].strip())
+                line_numbers.append(r)
+                rows.append([parse_cell(c, r, j + 2) for j, c in enumerate(record[1:-1])])
+                target = parse_cell(record[-1], r, width)
+                if math.isnan(target):
+                    raise DataError(f"{path}: row {r}: target value is NaN")
+                targets.append(target)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if len(set(ids)) != len(ids):
+        dup = _first_duplicate(ids)
+        first, again = [line_numbers[i] for i, sid in enumerate(ids) if sid == dup][:2]
+        raise DataError(f"{path}: row {again}: duplicate sample id {dup!r} (row {first})")
+    X = np.array(rows, dtype=np.float64)
+    y = np.array(targets, dtype=np.float64)
+    inf_rows = np.flatnonzero(np.isinf(X).any(axis=1) | np.isinf(y))
+    if len(inf_rows):
+        i = int(inf_rows[0])
+        j = int(np.flatnonzero(np.isinf(np.append(X[i], y[i])))[0])
+        column = (feature_names + [header[-1].strip()])[j]
+        raise DataError(f"{path}: row {line_numbers[i]}, column {column!r}: infinite value")
+    return feature_names, ids, X, y
+
+
+def outcome(load, path):
+    """What a reader makes of a file: its columns, ids and array bytes, or its error message."""
+    try:
+        got = load(path)
+    except DataError as e:
+        return str(e)
+    if isinstance(got, TaskDataset):
+        got = got.feature_names, got.sample_ids, got.X, got.y
+    names, ids, X, y = got
+    return names, ids, X.shape, X.tobytes(), y.tobytes()  # bytes: NaN signs count too
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(lambda i: f"{i:_}"),  # _ digit separators
+    st.sampled_from(
+        [
+            "1e5", "-2.5E-3", "1e400", "-1e-400", "٣.٥", "１２", "۱_۰",  # exponents, non-ASCII
+            " 1.5", "2 ", "\t3\n", "\xa04\u2003", "\x1c5",  # whitespace float() may not strip
+        ]
+    ),
+)
+MISSING = st.sampled_from(["", "", "  ", "nan", "NaN", " nan ", "-nan", "+NaN"])
+BAD = st.sampled_from(
+    [
+        "inf", "-Infinity", "infinity", "+inf",  # parse, then rejected as infinite
+        "abc", "1.2.3", "0x10", "1__0", "_1", "1,5", '"', "1e", "--1",  # junk
+    ]
+)
+
+
+def csv_text(rows, quote):
+    def field(cell, q):
+        if q or any(c in cell for c in ',"\r\n'):
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    return "".join(",".join(field(c, q) for c, q in zip(row, qs)) + "\n" for row, qs in zip(rows, quote))
+
+
+class TestCellParsing:
+    """load_task_csv reads every cell as the per-cell reference reader does."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_reader(self, data):
+        n_features = data.draw(st.integers(1, 4), label="features")
+        n_rows = data.draw(st.integers(1, 6), label="rows")
+        # Half the files hold only numbers and missing features, so that most of them load.
+        clean = data.draw(st.booleans(), label="clean")
+        cells = st.one_of(NUMBERS, MISSING) if clean else st.one_of(NUMBERS, MISSING, BAD)
+        features = st.lists(cells, min_size=n_features, max_size=n_features)
+        rows = [["id", *(f"f{j}" for j in range(n_features)), "target"]]
+        rows += [
+            [f"s{i}", *data.draw(features), data.draw(NUMBERS if clean else cells)]
+            for i in range(n_rows)
+        ]
+        quote = [data.draw(st.lists(st.booleans(), min_size=len(r), max_size=len(r))) for r in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text(rows, quote))
+            assert outcome(load_task_csv, path) == outcome(per_cell_load, path)
+
+    @pytest.mark.parametrize(
+        "later",
+        [b"s9,1.0\n", b"s9,\xff\xfe,1.0\n", b"s9,1.0,nan\n"],
+        ids=["short row", "invalid UTF-8", "NaN target"],
+    )
+    def test_first_error_in_file_order_wins(self, tmp_path, later):
+        # The later defect sits past the decoder's first chunk, as it would in a large file.
+        filler = b"".join(b"r%d,1.0,2.0\n" % i for i in range(3000))
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"id,f1,target\ns1,1.0,2.0\ns2,abc,2.0\n" + filler + later)
+        message = outcome(per_cell_load, str(p))
+        assert "row 3, column 2: cannot parse 'abc'" in message
+        assert outcome(load_task_csv, str(p)) == message
 
 
 class TestPruneFeatures:
