@@ -443,10 +443,11 @@ def _keep_freed_heap() -> None:
     """Let glibc keep up to 64 MB of freed heap instead of returning it to the OS.
 
     Every node's split scan allocates and frees a few hundred KB of temporaries.
-    With glibc's default trim threshold the freed top of the heap is returned
-    after each scan and the next scan faults it in again: about 400 000 page
-    faults, a fifth of the run time, in a 2-point ``path`` on the planted
-    3x50x500 set.  Where the C library has no ``mallopt`` this does nothing.
+    With glibc's default trim threshold the freed top of the heap can be
+    returned after a scan and the next scan faults it in again: about 30 000
+    page faults against 1 700 in a 2-point ``path`` on the planted 3x50x500
+    set, less than the run-to-run spread of its time (4.2-5.8 s either way on
+    a 2-core host).  Where the C library has no ``mallopt`` this does nothing.
     """
     M_TRIM_THRESHOLD = -1
     try:

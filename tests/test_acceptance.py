@@ -22,7 +22,7 @@ from bouts.boosting import (
     universal_features,
 )
 from bouts.data import TaskDataset, overlap_split, standardize_dataset
-from bouts.multitask import maximin_split
+from bouts.multitask import MultitaskTree, grow_multitask_tree, maximin_split
 from bouts.pathsweep import PathPoint, RegularizationPath, log_grid, select_penalty, sweep
 from bouts.stability import (
     SelectionMatrix,
@@ -41,6 +41,7 @@ from bouts.trees import (
     TreeParams,
     penalized_gain,
     raw_gain,
+    scan_columns,
     sort_root,
 )
 
@@ -308,6 +309,99 @@ def test_root_preparation_leaves_the_split_unchanged():
         assert got == maximin_split(views, used, lam, params)
         n_splits += got is not None
     assert n_splits > 200
+
+
+def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Feature matrix without a repeated value in any column."""
+    return rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("columns", [random_columns, continuous_columns])
+def test_scan_matches_the_definition(columns):
+    """Every finite scan gain is ``raw_gain`` at that boundary's midpoint, for
+    both criteria, and the scan reads -inf exactly between equal neighbours."""
+    rng = np.random.default_rng(4)
+    n_checked = 0
+    for _ in range(300):
+        n, d = int(rng.integers(2, 33)), int(rng.integers(1, 6))
+        X = columns(rng, n, d)
+        y = random_targets(rng, X)
+        node = NodeView(X, y)
+        m = int(rng.integers(1, 3))
+        for criterion in CRITERIA:
+            cand = scan_columns(X.T, y, m, criterion)
+            assert cand.shape == (d, max(n - 2 * m + 1, 0))
+            for f, j in np.ndindex(*cand.shape):
+                xs = np.sort(X[:, f])
+                lo, hi = xs[m + j - 1], xs[m + j]
+                assert np.isneginf(cand[f, j]) == (lo == hi)
+                if lo < hi:
+                    g = raw_gain(node, f, float(0.5 * (lo + hi)), criterion)
+                    assert abs(cand[f, j] - g) <= 1e-12 * max(1.0, abs(g))
+                    n_checked += 1
+    assert n_checked > 10_000
+
+
+def reference_tree(Xs, ys, used, lam, params):
+    """``grow_multitask_tree`` from its definition: ``maximin_split`` on a
+    fresh copy of every node's rows, with no preparation."""
+    used_now = set(used)
+    records = []
+    leaf_of_row = [np.empty(len(y), dtype=np.intp) for y in ys]
+    n_tasks = len(Xs)
+
+    def build(idxs, depth):
+        i = len(records)
+        records.append(None)
+        split = None
+        if depth < params.max_depth and min(idx.size for idx in idxs) >= 2 * params.min_samples_leaf:
+            views = [NodeView(X[idx], y[idx]) for X, y, idx in zip(Xs, ys, idxs)]
+            split = maximin_split(views, used_now, lam, params)
+        if split is None:
+            for rows, idx in zip(leaf_of_row, idxs):
+                rows[idx] = i
+            values = [np.mean(y[idx]) for y, idx in zip(ys, idxs)]
+            records[i] = (-1, -1, -1, [0.0] * n_tasks, values, [0.0] * n_tasks, [0.0] * n_tasks)
+            return i
+        used_now.add(split.feature)
+        go_left = [X[idx, split.feature] <= v for X, idx, v in zip(Xs, idxs, split.thresholds)]
+        left = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
+        right = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
+        records[i] = (split.feature, left, right, split.thresholds, [math.nan] * n_tasks,
+                      split.raw_gains, split.gains)
+        return i
+
+    build([np.arange(len(y)) for y in ys], 0)
+    return MultitaskTree.of_nodes(records), leaf_of_row
+
+
+@pytest.mark.parametrize("columns", [random_columns, continuous_columns])
+def test_grower_matches_the_reference_tree(columns):
+    """The grower, which prepares each node once and drops the tie mask of a
+    tie-free task, grows bit for bit the tree of ``reference_tree``."""
+    rng = np.random.default_rng(5)
+    n_internal = 0
+    for _ in range(150):
+        T, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        Xs = [columns(rng, int(rng.integers(8, 61)), d) for _t in range(T)]
+        ys = [random_targets(rng, X) for X in Xs]
+        used = {f for f in range(d) if rng.random() < 0.3}
+        lam = float(rng.choice([0.0, 0.1, 0.5]))
+        params = TreeParams(
+            max_depth=3,
+            min_samples_leaf=int(rng.integers(1, 4)),
+            min_gain=0.0,
+            criterion=str(rng.choice(CRITERIA)),
+        )
+        tree, leaves = grow_multitask_tree(Xs, ys, used, lam, params)
+        want, want_leaves = reference_tree(Xs, ys, used, lam, params)
+        for key in ("feature", "left", "right", "thresholds", "values", "gains", "penalized_gains"):
+            got_a, want_a = getattr(tree, key), getattr(want, key)
+            assert got_a.shape == want_a.shape and got_a.tobytes() == want_a.tobytes(), key
+        for got_rows, want_rows in zip(leaves, want_leaves):
+            np.testing.assert_array_equal(got_rows, want_rows)
+        n_internal += int(np.count_nonzero(tree.feature != MultitaskTree.LEAF))
+    assert n_internal > 300
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from bouts.trees import (
     TreeParams,
     penalized_gain,
     raw_gain,
+    scan_columns,
+    sort_root,
 )
 
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -129,6 +131,26 @@ class TestBestSplitSingle:
 
     def test_no_split_on_constant_feature(self):
         assert best_split([[1.0]] * 4, Y4, frozenset(), 0.0, LOOSE) is None
+
+
+class TestSplitPreparation:
+    def test_tie_free_task_carries_no_mask(self):
+        X = np.random.default_rng(8).normal(size=(20, 3))
+        assert sort_root(X).distinct is None
+
+    def test_one_repeated_value_carries_a_mask(self):
+        X = np.random.default_rng(9).normal(size=(20, 3))
+        X[5, 1] = X[2, 1]
+        distinct = sort_root(X).distinct
+        assert distinct is not None
+        assert distinct.shape == (3, 19)
+        assert np.count_nonzero(~distinct) == 1
+        assert not distinct[1].all()
+
+    @pytest.mark.parametrize("criterion", [VARIANCE, FRIEDMAN])
+    def test_scan_of_no_features(self, criterion):
+        y = np.arange(10.0)
+        assert scan_columns(np.empty((0, 10)), y, 2, criterion).shape == (0, 7)
 
 
 class TestGrowTree:
