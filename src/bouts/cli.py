@@ -444,9 +444,9 @@ def _keep_freed_heap() -> None:
 
     Every node's split scan allocates and frees a few hundred KB of temporaries.
     With glibc's default trim threshold the freed top of the heap can be
-    returned after a scan and the next scan faults it in again: about 30 000
-    page faults against 1 700 in a 2-point ``path`` on the planted 3x50x500
-    set, less than the run-to-run spread of its time (4.2-5.8 s either way on
+    returned after a scan and the next scan faults it in again: about 13 000
+    page faults against 1 600 in a 2-point ``path`` on the planted 3x50x500
+    set, less than the run-to-run spread of its time (3.2-4.6 s either way on
     a 2-core host).  Where the C library has no ``mallopt`` this does nothing.
     """
     M_TRIM_THRESHOLD = -1

@@ -14,10 +14,10 @@ definition, ``trees.raw_gain``.  ``MultitaskTree`` keeps its nodes in flat
 arrays, which ``MultitaskTree.of_nodes`` builds from one record per node for
 the grower and the decoder alike, and owns the two on-disk node layouts:
 per-task lists for universal trees and scalars for T=1 stage-2 trees.  The
-grower prepares each node's rows once (``trees.SortedRoot``: a feature-major
-gather, its sort and, for a task whose root repeats a value, its tie mask),
-hands that to ``maximin_split``, and returns the leaf each training row
-reached, so boosting never routes its own training rows.
+grower reads each node's rows as a feature-major gather, hands
+``maximin_split`` the root's rows presorted (``trees.SortedRoot``), and
+returns the leaf each training row reached, so boosting never routes its own
+training rows.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import json_numbers
 from .errors import DataError, NumericalError
-from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, raw_gain, scan_columns, sort_node, sort_root
+from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, raw_gain, scan_columns, sort_root
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ def maximin_split(
     that task's best with the definition-based ``raw_gain`` and keeps the
     first maximum (the lowest threshold on ties), so near-ties cannot be
     misordered by scan arithmetic.  Returns None when the score is <=
-    ``params.min_gain``.  ``roots`` (the ``SortedRoot`` of each view's rows)
-    only spares the scans their sorts and tie masks.
+    ``params.min_gain``.  ``roots`` (``sort_root`` of each view's rows) only
+    spares the scans their sorts.
     """
     if not views:
         raise ValueError("need one node view per task")
@@ -279,7 +279,7 @@ def grow_multitask_tree(
 
     Returns the tree and, per task, the index of the leaf each row of
     ``Xs[t]`` reaches.  ``roots`` (``sort_root`` of each ``Xs[t]``) lets a
-    caller that grows many trees on the same rows prepare them once.
+    caller that grows many trees on the same rows sort them once.
     """
     if params is None:
         params = TreeParams()
@@ -302,14 +302,11 @@ def grow_multitask_tree(
         records.append(None)  # filled in once its children are numbered
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
-            # The root is prepared.  A node's rows are a subset of its root's:
-            # if the root repeats no value, neither does the node.
+            # The root reads every row: no gather, and its sort is prepared.
             at_root = depth == 0
-            preps = roots if at_root else [
-                sort_node(root.XT[:, idx], root.distinct is not None) for root, idx in zip(roots, idxs)
-            ]
-            views = [NodeView(p.XT.T, y if at_root else y[idx]) for p, y, idx in zip(preps, ys, idxs)]
-            split = maximin_split(views, used_now, lambda_u, params, preps)
+            cols = [root.XT if at_root else root.XT[:, idx] for root, idx in zip(roots, idxs)]
+            views = [NodeView(XT.T, y if at_root else y[idx]) for XT, y, idx in zip(cols, ys, idxs)]
+            split = maximin_split(views, used_now, lambda_u, params, roots if at_root else None)
         if split is None:
             for rows, idx in zip(leaf_of_row, idxs):
                 rows[idx] = i
@@ -318,7 +315,7 @@ def grow_multitask_tree(
             return i
         f = split.feature
         used_now.add(f)
-        go_left = [p.XT[f] <= v for p, v in zip(preps, split.thresholds)]
+        go_left = [XT[f] <= v for XT, v in zip(cols, split.thresholds)]
         left = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
         right = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
         records[i] = (f, left, right, split.thresholds, nans, split.raw_gains, split.gains)

@@ -9,10 +9,9 @@ exhaustive enumeration oracle is well defined.
 ``scan_columns`` is the one enumeration of candidate splits: it scores every
 boundary of every feature at once with prefix sums over a feature-major
 (d, n) matrix, both criteria as one expression, (s_left - n_left * mean)^2
-times a weight per boundary.  Each node's rows are prepared once (a
-``SortedRoot``); the root sees the same rows in every boosting round, so
-``sort_root`` prepares it once per run.  A task whose root repeats no value
-has no equal neighbours at any node, so none of its scans is masked.  The
+times a weight per boundary.  A node below the root sorts its own rows; the
+root sees the same rows in every boosting round, so ``sort_root`` sorts them
+once and each root scan only gathers the current targets in that order.  The
 scan's arithmetic cannot be trusted to order near-ties, so the split search
 re-scores the candidates within ``TIE_MARGIN`` of a feature's best with
 ``raw_gain``, the definition.  The only tree built on these scores, and the
@@ -112,26 +111,22 @@ TIE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class SortedRoot:
-    """One node's rows, feature-major and sorted: a split scan's preparation."""
+    """One task's training rows, feature-major and sorted once per boosting run."""
 
     XT: np.ndarray  # (d, n) one row per feature
     order: np.ndarray  # (d, n) argsort of each row of XT
-    distinct: Optional[np.ndarray]  # (d, n - 1) sorted value j + 1 > value j; None if all are
+    distinct: np.ndarray  # (d, n - 1) whether sorted value j + 1 exceeds value j
 
 
 def sort_root(X: np.ndarray) -> SortedRoot:
     """The ``SortedRoot`` of the (n, d) matrix ``X``."""
-    return sort_node(np.ascontiguousarray(np.asarray(X, dtype=np.float64).T))
+    return _sorted(np.ascontiguousarray(np.asarray(X, dtype=np.float64).T))
 
 
-def sort_node(XT: np.ndarray, ties: bool = True) -> SortedRoot:
-    """The ``SortedRoot`` of (d, n) ``XT``; ``ties=False`` vouches that no row repeats a value."""
+def _sorted(XT: np.ndarray) -> SortedRoot:
     order = np.argsort(XT, axis=1)
-    if not ties:
-        return SortedRoot(XT, order, None)
     xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
-    distinct = xs[:, 1:] > xs[:, :-1]
-    return SortedRoot(XT, order, None if distinct.all() else distinct)
+    return SortedRoot(XT, order, xs[:, 1:] > xs[:, :-1])
 
 
 def scan_columns(
@@ -143,8 +138,8 @@ def scan_columns(
 ) -> np.ndarray:
     """Approximate raw gain of every candidate split of every feature of ``XT`` (d, n).
 
-    ``root``, when given, is the ``SortedRoot`` of these very rows and spares
-    the sort.  Returns the (d, n - 2m + 1) gains, m = ``min_samples_leaf``:
+    ``root``, when given, is ``sort_root`` of these very rows and spares the
+    sort.  Returns the (d, n - 2m + 1) gains, m = ``min_samples_leaf``:
     column j is the boundary that leaves the m + j lowest values of a feature
     on its left, at the midpoint of sorted values m + j - 1 and m + j, and
     holds -inf where those two values are equal.
@@ -158,7 +153,7 @@ def scan_columns(
     # candidates, so candidate sums differ by at most rounding noise, which
     # the tie margin absorbs.
     if root is None:
-        root = sort_node(XT)
+        root = _sorted(XT)
     # Boundary j of the window leaves m + j samples on the left.  Friedman's
     # n_L n_R / n (mean_L - mean_R)^2 is n (s_L - n_L mean)^2 / (n_L n_R), and
     # the variance decrease is that over n.
@@ -166,6 +161,5 @@ def scan_columns(
     cand = np.cumsum(y[root.order], axis=1)[:, m - 1 : n - m] - n_left * (y.sum() / n)
     cand *= cand
     cand *= (n if criterion == FRIEDMAN else 1.0) / (n_left * (n - n_left))
-    if root.distinct is not None:
-        np.putmask(cand, ~root.distinct[:, m - 1 : n - m], -np.inf)
+    np.putmask(cand, ~root.distinct[:, m - 1 : n - m], -np.inf)
     return cand

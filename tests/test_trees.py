@@ -134,15 +134,16 @@ class TestBestSplitSingle:
 
 
 class TestSplitPreparation:
-    def test_tie_free_task_carries_no_mask(self):
+    def test_tie_free_task_masks_nothing(self):
         X = np.random.default_rng(8).normal(size=(20, 3))
-        assert sort_root(X).distinct is None
+        distinct = sort_root(X).distinct
+        assert distinct.shape == (3, 19)
+        assert distinct.all()
 
-    def test_one_repeated_value_carries_a_mask(self):
+    def test_one_repeated_value_masks_one_boundary(self):
         X = np.random.default_rng(9).normal(size=(20, 3))
         X[5, 1] = X[2, 1]
         distinct = sort_root(X).distinct
-        assert distinct is not None
         assert distinct.shape == (3, 19)
         assert np.count_nonzero(~distinct) == 1
         assert not distinct[1].all()
