@@ -26,6 +26,7 @@ from .trees import TreeParams, sort_root
 DEGENERATE_TOL = 1e-12
 
 OnRound = Callable[[str, object, object], None]
+RoundHook = Callable[[int, list[np.ndarray], list[np.ndarray]], None]
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _boost(
     lam: float,
     used: set[int],
     params: TreeParams,
-    on_round: Optional[Callable[[int, list[np.ndarray], list[np.ndarray]], None]],
+    on_round: Optional[RoundHook],
 ) -> tuple[list[MultitaskTree], list[list[float]]]:
     """The boosting loop of both stages, over one or more tasks.
 
@@ -125,28 +126,21 @@ def fit_single_task(
     lam: float = 0.0,
     used: Optional[set[int]] = None,
     params: Optional[TreeParams] = None,
-    on_round: Optional[Callable[[int, np.ndarray], None]] = None,
-    on_step: Optional[Callable[[int, np.ndarray], None]] = None,
+    on_round: Optional[RoundHook] = None,
 ) -> tuple[list[MultitaskTree], set[int], list[float]]:
     """Plain single-task gradient boosting on squared error.
 
     Returns the accepted T=1 trees, the final used-feature set (a mutated
     copy of ``used``), and the training MSE after each accepted round.
-    After each accepted round, ``on_round`` gets the tree count and a copy
-    of the residuals, and ``on_step`` the tree count and that round's update
-    of the training predictions (``learning_rate`` times each row's leaf).
+    After each accepted round, ``on_round`` gets the tree count, ``[residual]``
+    and ``[step]``, the round's update of the training predictions
+    (``learning_rate`` times each row's leaf).  Both arrays are live: copy
+    what you keep.
     """
     used_now = set(used) if used is not None else set()
-
-    def cb(b: int, residuals: list[np.ndarray], steps: list[np.ndarray]) -> None:
-        if on_round is not None:
-            on_round(b, residuals[0].copy())
-        if on_step is not None:
-            on_step(b, steps[0])
-
     residuals = [np.array(y, dtype=np.float64)]
     trees, history = _boost(
-        [X], residuals, rounds, learning_rate, lam, used_now, params or TreeParams(), cb
+        [X], residuals, rounds, learning_rate, lam, used_now, params or TreeParams(), on_round
     )
     return trees, used_now, [h[0] for h in history]
 
@@ -273,7 +267,7 @@ def fit(
     for t in range(T):
         cb = None
         if on_round is not None:
-            cb = lambda b, r, _t=t: on_round("task", (_t, b), r)
+            cb = lambda b, res, _, _t=t: on_round("task", (_t, b), res[0].copy())
         lam = config.lambda_for_task(t, T)
         trees, _, history = fit_single_task(
             Xs[t], residuals[t], config.rounds_task, beta, lam, universal_used, config.tree, cb

@@ -8,8 +8,6 @@ is a usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
 from __future__ import annotations
 
 import argparse
-import csv
-import ctypes
 import json
 import math
 import os
@@ -37,6 +35,7 @@ from .data import (
     overlap_split,
     standardize_dataset,
     Standardizer,
+    write_csv,
     write_json,
 )
 from .errors import BoutsError, DataError, NumericalError
@@ -46,11 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 INTEGER, NUMBER, STRING, BASE = "an integer", "a number", "a string", 'a number or "e"'
@@ -204,15 +198,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_json(os.path.join(args.out, "importances.json"), importances)
     write_json(os.path.join(args.out, "split.json"), split.to_dict(dataset.tasks))
 
-    buf = ["task,n_test,nae_median,nae_q25,nae_q75"]
+    rows = []
     for t, task in enumerate(standardized.tasks):
         test = split.test[t]
         nae = pathsweep.normalized_absolute_error(task.y[test], model.predict(t, task.X[test]))
-        q25, med, q75 = (
-            (float(np.percentile(nae, q)) for q in (25, 50, 75)) if len(nae) else ("", "", "")
-        )
-        buf.append(",".join(str(v) for v in (task.name, len(test), med, q25, q75)))
-    _write_text(os.path.join(args.out, "metrics.csv"), "\n".join(buf) + "\n")
+        q25, med, q75 = np.percentile(nae, (25, 50, 75)).tolist() if len(nae) else (None,) * 3
+        rows.append((task.name, len(test), med, q25, q75))
+    header = ("task", "n_test", "nae_median", "nae_q25", "nae_q75")
+    write_csv(os.path.join(args.out, "metrics.csv"), header, rows)
     return EXIT_OK
 
 
@@ -224,20 +217,18 @@ def cmd_path(args: argparse.Namespace) -> int:
     path = _naming(args.manifest, pathsweep.sweep, standardized, split, config, grid)
     chosen = pathsweep.select_penalty(path, **_pick(cfg, "drop"))
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "path.csv"), path.to_csv())
+    write_csv(os.path.join(args.out, "path.csv"), *path.csv_rows())
     write_json(os.path.join(args.out, "path.json"), path.to_dict())
     write_json(
         os.path.join(args.out, "selected_lambda.json"),
         {"index": chosen.index, "lambda": chosen.lam, "warning": chosen.warning},
     )
-    lines = ["lambda,feature,role"]
+    rows = []
     for point in path.points:
-        for name in point.universal:
-            lines.append(f"{point.lam!r},{name},universal")
-        for t, task_name in enumerate(path.task_names):
-            for name in point.task_specific[t]:
-                lines.append(f"{point.lam!r},{name},{task_name}")
-    _write_text(os.path.join(args.out, "features_by_lambda.csv"), "\n".join(lines) + "\n")
+        rows += [(point.lam, name, "universal") for name in point.universal]
+        for task_name, names in zip(path.task_names, point.task_specific):
+            rows += [(point.lam, name, task_name) for name in names]
+    write_csv(os.path.join(args.out, "features_by_lambda.csv"), ("lambda", "feature", "role"), rows)
     return EXIT_OK
 
 
@@ -268,9 +259,9 @@ def cmd_stability(args: argparse.Namespace) -> int:
         }
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "stability_report.json"), _finite_or_str(report))
-    _write_text(os.path.join(args.out, "Z_universal.csv"), Z_u.to_csv())
+    write_csv(os.path.join(args.out, "Z_universal.csv"), *Z_u.csv_rows())
     for name, Z_t in zip(dataset.task_names, Z_tasks):
-        _write_text(os.path.join(args.out, f"Z_{name}.csv"), Z_t.to_csv())
+        write_csv(os.path.join(args.out, f"Z_{name}.csv"), *Z_t.csv_rows())
     return EXIT_OK
 
 
@@ -382,12 +373,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     y_pred_std = model.predict(t, standardizer.transform_X(X))
     y_pred = standardizer.inverse_y(y_pred_std)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "y_true", "y_pred"])
-        writer.writerows(
-            zip(task.sample_ids, map(repr, task.y.tolist()), map(repr, y_pred.tolist()))
-        )
+    rows = zip(task.sample_ids, task.y.tolist(), y_pred.tolist())
+    write_csv(args.out, ("sample_id", "y_true", "y_pred"), rows)
     return EXIT_OK
 
 
@@ -439,25 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_heap() -> None:
-    """Let glibc keep up to 64 MB of freed heap instead of returning it to the OS.
-
-    Every node's split scan allocates and frees a few hundred KB of temporaries.
-    With glibc's default trim threshold the freed top of the heap can be
-    returned after a scan and the next scan faults it in again: about 13 000
-    page faults against 1 600 in a 2-point ``path`` on the planted 3x50x500
-    set, less than the run-to-run spread of its time (3.2-4.6 s either way on
-    a 2-core host).  Where the C library has no ``mallopt`` this does nothing.
-    """
-    M_TRIM_THRESHOLD = -1
-    try:
-        ctypes.CDLL(None).mallopt(M_TRIM_THRESHOLD, 64 << 20)
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -13,6 +13,8 @@ The train/validation/test split stratifies by membership signature: sample
 ids are grouped by the exact subset of tasks containing them, each group is
 shuffled and allocated to the three partitions by largest-remainder rounding,
 and an id shared across tasks lands in the same partition everywhere.
+
+``write_csv`` and ``write_json`` are the only encoders of written artifacts.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -357,6 +359,19 @@ def load_manifest(path: str) -> MultitaskDataset:
         return build_category([prune_features(task) for task in tasks])
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
+
+
+def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write an artifact as CSV: the header row, then ``rows``, each ending in "\\n".
+
+    The csv module writes a float as its ``repr``, None as an empty cell, and
+    quotes a cell holding a comma, a quote or a line break.  Pass Python
+    floats: the ``repr`` of a numpy float names its type.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path: str, obj) -> None:

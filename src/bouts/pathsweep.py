@@ -9,10 +9,9 @@ variance it had at the smallest penalty.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,13 +76,18 @@ class PathPoint:
     ev_train: list[float]
     nae_test: list[np.ndarray]
 
+    @cached_property
+    def median_nae_test(self) -> list[Optional[float]]:
+        """Per task, the median test error; None where the test partition is empty."""
+        return [float(np.median(v)) if len(v) else None for v in self.nae_test]
+
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,
             "universal": self.universal,
             "task_specific": self.task_specific,
             "ev_train": self.ev_train,
-            "median_nae_test": [float(np.median(v)) if len(v) else None for v in self.nae_test],
+            "median_nae_test": self.median_nae_test,
         }
 
 
@@ -100,27 +104,17 @@ class RegularizationPath:
     def to_dict(self) -> dict:
         return {"task_names": self.task_names, "points": [p.to_dict() for p in self.points]}
 
-    def to_csv(self) -> str:
-        """Flat per-(lambda, task) rows for plotting."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["lambda", "task", "n_universal", "n_task_specific", "ev_train", "median_nae_test"]
-        )
-        for p in self.points:
-            for t, name in enumerate(self.task_names):
-                med = float(np.median(p.nae_test[t])) if len(p.nae_test[t]) else ""
-                writer.writerow(
-                    [
-                        repr(p.lam),
-                        name,
-                        len(p.universal),
-                        len(p.task_specific[t]),
-                        repr(p.ev_train[t]),
-                        repr(med) if med != "" else "",
-                    ]
-                )
-        return buf.getvalue()
+    def csv_rows(self) -> tuple[list[str], list[list]]:
+        """Header and flat per-(lambda, task) rows for plotting."""
+        header = ["lambda", "task", "n_universal", "n_task_specific", "ev_train", "median_nae_test"]
+        rows = [
+            [p.lam, name, len(p.universal), len(specific), ev, med]
+            for p in self.points
+            for name, specific, ev, med in zip(
+                self.task_names, p.task_specific, p.ev_train, p.median_nae_test
+            )
+        ]
+        return header, rows
 
 
 @dataclass(frozen=True)
@@ -162,14 +156,14 @@ def downstream_scores(
             # Training rows are not routed: their leaf values, summed in tree order.
             f_tr, f_tr_at = np.zeros(len(ytr)), {}
 
-            def on_step(b: int, step: np.ndarray, f_tr=f_tr, f_tr_at=f_tr_at) -> None:
-                f_tr += step
+            def on_round(b: int, _, steps: list[np.ndarray], f_tr=f_tr, f_tr_at=f_tr_at) -> None:
+                f_tr += steps[0]
                 if b in DOWNSTREAM_ROUNDS:
                     f_tr_at[b] = f_tr.copy()
 
             params = replace(tree_params, max_depth=depth)
             trees, _, _ = fit_single_task(
-                Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_step=on_step
+                Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_round=on_round
             )
             f_tr_at[len(trees)] = f_tr
             f_vt = np.zeros(len(Xvt))

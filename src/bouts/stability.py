@@ -65,13 +65,9 @@ class SelectionMatrix:
     def n_features(self) -> int:
         return self.Z.shape[1]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.feature_names)
-        for row in self.Z:
-            writer.writerow([int(v) for v in row])
-        return buf.getvalue()
+    def csv_rows(self) -> tuple[list[str], list[list[int]]]:
+        """Header (the feature names) and one 0/1 row per replicate."""
+        return self.feature_names, self.Z.astype(np.int64).tolist()
 
     @classmethod
     def from_csv(cls, text: str) -> "SelectionMatrix":

@@ -8,14 +8,13 @@ index sets are emitted alongside the data as the recovery oracle.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .data import MultitaskDataset, TaskDataset, write_json
+from .data import MultitaskDataset, TaskDataset, write_csv, write_json
 from .errors import DataError
 
 LINEAR = "linear"
@@ -171,17 +170,9 @@ def write_outputs(dataset: MultitaskDataset, truth: SynthTruth, outdir: str) -> 
     paths: dict[str, str] = {}
     for task in dataset.tasks:
         csv_path = os.path.join(outdir, f"{task.name}.csv")
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", *task.feature_names, "target"])
-            for i in range(task.n_samples):
-                writer.writerow(
-                    [
-                        task.sample_ids[i],
-                        *(repr(float(v)) for v in task.X[i]),
-                        repr(float(task.y[i])),
-                    ]
-                )
+        # Row by row: a whole-matrix tolist() would hold every cell as a Python float.
+        rows = ([sid, *x.tolist(), y] for sid, x, y in zip(task.sample_ids, task.X, task.y.tolist()))
+        write_csv(csv_path, ["id", *task.feature_names, "target"], rows)
         manifest["tasks"][task.name] = f"{task.name}.csv"
         paths[f"csv:{task.name}"] = csv_path
     paths["manifest"] = os.path.join(outdir, "manifest.json")

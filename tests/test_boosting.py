@@ -145,7 +145,7 @@ class TestFitSingleTask:
         y = X[:, 0] + 0.5 * rng.normal(size=50)
         seen = []
         trees, _, _ = fit_single_task(
-            X, y, 10, 0.3, params=STUMPS, on_round=lambda b, r: seen.append((b, r))
+            X, y, 10, 0.3, params=STUMPS, on_round=lambda b, r, _: seen.append((b, r[0].copy()))
         )
         assert [b for b, _ in seen] == list(range(1, len(trees) + 1))
         replay = y.astype(float).copy()
@@ -376,12 +376,12 @@ class TestTrainingRowsAreNotRouted:
         y = np.sin(X[:, 0]) + X[:, 2] + 0.2 * rng.normal(size=80)
         fitted, snapshots = np.zeros(80), []
 
-        def on_step(b, step):
-            fitted[:] += step
+        def on_round(b, residual, step):
+            fitted[:] += step[0]
             snapshots.append(fitted.copy())
 
         trees, _, _ = fit_single_task(X, y, 15, 0.1, params=TreeParams(min_samples_leaf=4),
-                                      on_step=on_step)
+                                      on_round=on_round)
         routed = np.zeros(80)
         for tree, snapshot in zip(trees, snapshots, strict=True):
             routed += 0.1 * tree.predict(0, X)

@@ -552,6 +552,56 @@ class TestStabilityCommand:
         assert report["universal"]["variant"] == "paper_formula"
 
 
+class TestNamesThatNeedQuoting:
+    """Task and feature names holding a comma, a quote or a line break survive every CSV."""
+
+    TASKS = ("sol,aq", "plain")
+    FEATURES = ("x,1", 'say "hi"', "line\nbreak", "x4", "x5", "x6", "x7")
+
+    def test_every_csv_reads_back_at_the_header_width(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (5, 10))
+        rng = np.random.default_rng(31)
+        manifest = {"tasks": {}}
+        for t, name in enumerate(self.TASKS):
+            X = rng.normal(size=(60, len(self.FEATURES)))
+            y = X[:, 0] + X[:, 1] ** 2 - X[:, 2] + X[:, 3 + t] + 0.5 * rng.normal(size=60)
+            with open(tmp_path / f"task{t}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["id", *self.FEATURES, "target"])
+                writer.writerows([f"s{i}", *x, v] for i, (x, v) in enumerate(zip(X.tolist(), y)))
+            manifest["tasks"][name] = f"task{t}.csv"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        common = ("--manifest", str(tmp_path / "manifest.json"),
+                  "--rounds-universal", "5", "--rounds-task", "5")
+        out = tmp_path / "out"
+        assert run("fit", *common, "--out", str(out / "fit"), "--lambda", "0.01") == cli.EXIT_OK
+        assert run("path", *common, "--out", str(out / "path"), "--grid-points", "2") == cli.EXIT_OK
+        code = run("stability", *common, "--out", str(out / "stab"), "--replicates", "2",
+                   "--lambda", "0.5")
+        assert code == cli.EXIT_OK
+        code = run("predict", "--model", str(out / "fit" / "model.json"), "--task", "sol,aq",
+                   "--data", str(tmp_path / "task0.csv"), "--out", str(out / "pred.csv"))
+        assert code == cli.EXIT_OK
+
+        def rows_of(path) -> list[list[str]]:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert all(len(row) == len(rows[0]) for row in rows), path
+            return rows[1:]
+
+        assert {row[0] for row in rows_of(out / "fit" / "metrics.csv")} == set(self.TASKS)
+        assert {row[1] for row in rows_of(out / "path" / "path.csv")} == set(self.TASKS)
+        by_lambda = rows_of(out / "path" / "features_by_lambda.csv")
+        assert {row[1] for row in by_lambda} >= set(self.FEATURES[:3])
+        assert {row[1] for row in by_lambda} <= set(self.FEATURES)
+        assert {row[2] for row in by_lambda} <= {"universal", *self.TASKS}
+        for name in ("universal", *self.TASKS):
+            with open(out / "stab" / f"Z_{name}.csv", newline="") as fh:
+                assert next(csv.reader(fh)) == sorted(self.FEATURES)
+            assert len(rows_of(out / "stab" / f"Z_{name}.csv")) == 2
+        assert len(rows_of(out / "pred.csv")) == 60
+
+
 class TestExitCodes:
     def test_missing_manifest_exits_data(self, tmp_path, capsys):
         code = run(

@@ -150,10 +150,12 @@ class TestRegularizationPath:
         assert [p["lambda"] for p in doc["points"]] == [1.0, 2.0]
         assert doc["points"][0]["ev_train"] == [0.9, 0.8]
         assert doc["points"][0]["median_nae_test"] == [None, None]
-        lines = path.to_csv().strip().splitlines()
-        assert lines[0] == "lambda,task,n_universal,n_task_specific,ev_train,median_nae_test"
-        assert len(lines) == 1 + 2 * 2  # header + points * tasks
-        assert lines[1].startswith("1.0,task0,0,0,0.9,")
+        header, rows = path.csv_rows()
+        assert header == [
+            "lambda", "task", "n_universal", "n_task_specific", "ev_train", "median_nae_test"
+        ]
+        assert len(rows) == 2 * 2  # points * tasks
+        assert rows[0] == [1.0, "task0", 0, 0, 0.9, None]
 
 
 def bit_design(n_features, reps):

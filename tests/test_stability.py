@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bouts.boosting import BoostConfig
-from bouts.data import MultitaskDataset, TaskDataset
+from bouts.data import MultitaskDataset, TaskDataset, write_csv
 from bouts.errors import DataError, NumericalError
 from bouts.stability import (
     NORMALIZED,
@@ -50,9 +50,11 @@ class TestSelectionMatrix:
         with pytest.raises(DataError, match="feature_names"):
             SelectionMatrix(Z=np.zeros((2, 3)), feature_names=["a"])
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         m = matrix([[1, 0, 1], [0, 0, 1]])
-        clone = SelectionMatrix.from_csv(m.to_csv())
+        assert m.csv_rows() == (["f0", "f1", "f2"], [[1, 0, 1], [0, 0, 1]])
+        write_csv(tmp_path / "Z.csv", *m.csv_rows())
+        clone = SelectionMatrix.from_csv((tmp_path / "Z.csv").read_text())
         assert clone.feature_names == m.feature_names
         np.testing.assert_array_equal(clone.Z, m.Z)
 
