@@ -10,8 +10,9 @@ coefficient mass after r accepted rounds is exactly beta * r.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -312,3 +313,58 @@ def feature_importances(model: BoutsModel, t: int) -> dict[str, float]:
     if grand <= 0.0:
         return {}
     return {model.feature_names[f]: g / grand for f, g in sorted(totals.items())}
+
+
+# What ``pool_map`` ships to each worker once; set by the pool initializer.
+_shared: tuple = ()
+
+
+def _start_worker(shared: tuple) -> None:
+    """Pool initializer: keep ``shared`` for the calls, and keep freed heap.
+
+    Every node's split scan allocates and frees a few hundred KB of
+    temporaries.  In a new worker, glibc's default trim threshold hands the
+    freed top of the heap back to the OS after a scan, and the next scan
+    faults it in again.  On a 2-core x86-64 host, 4 ``stability`` replicates
+    of a 3-task set (100, 1000 and 1000 rows of 30 features) on 2 workers
+    took about 200 000 minor faults and 0.5 s of system time, against 7 400
+    and 0.05 s with a 64 MB threshold.  Where the C library has no
+    ``mallopt`` the threshold stays as it is.
+    """
+    import ctypes
+
+    global _shared
+    _shared = shared
+    M_TRIM_THRESHOLD = -1
+    try:
+        ctypes.CDLL(None).mallopt(M_TRIM_THRESHOLD, 64 << 20)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def _call_with_shared(fn: Callable, item):
+    return fn(*_shared, item)
+
+
+def pool_map(fn: Callable, items: Iterable, jobs: int = 1, shared: tuple = ()) -> list:
+    """``[fn(*shared, item) for item in items]``, over up to ``jobs`` processes.
+
+    The pool has ``min(jobs, len(items))`` workers; with one, everything
+    runs in this process.  ``shared`` (the data every item reads) goes to
+    each worker once, through the pool initializer; only ``item`` goes with
+    each call, so ``fn`` must be a module-level function.  Results come back
+    in item order, and the first item to fail, in item order, raises its
+    error, as in the serial loop.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    items = list(items)
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(*shared, item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor  # its import costs a serial run 6 ms
+
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_start_worker, initargs=(shared,)
+    ) as pool:
+        return list(pool.map(functools.partial(_call_with_shared, fn), items))

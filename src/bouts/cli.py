@@ -48,6 +48,7 @@ EXIT_NUMERICAL = 4
 
 
 INTEGER, NUMBER, STRING, BASE = "an integer", "a number", "a string", 'a number or "e"'
+COUNT = "an integer >= 1"
 FRACTION = "a number in (0, 1)"
 NUMBERS, PENALTIES = "a list of numbers", "a number or a list of numbers"
 
@@ -65,7 +66,14 @@ def _grid_base(text: str) -> float:
     return math.e if text == "e" else float(text)
 
 
-FLAG_TYPES = {INTEGER: int, NUMBER: float, STRING: str, BASE: _grid_base}
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be {COUNT}, got {value}")
+    return value
+
+
+FLAG_TYPES = {INTEGER: int, COUNT: _count, NUMBER: float, STRING: str, BASE: _grid_base}
 
 
 def _from_json(value, opt: Option, where: str):
@@ -73,6 +81,8 @@ def _from_json(value, opt: Option, where: str):
     number = {int, float}  # exact JSON types: a bool is not a number
     try:
         if opt.kind == INTEGER and type(value) in number and value == int(value):
+            return int(value)
+        if opt.kind == COUNT and type(value) in number and value == int(value) and value >= 1:
             return int(value)
         if opt.kind in (NUMBER, PENALTIES, BASE) and type(value) in number:
             return float(value)
@@ -90,6 +100,7 @@ def _from_json(value, opt: Option, where: str):
 
 # Each option is declared once; a subcommand registers the groups it reads.
 SEED = Option("seed", INTEGER, "--seed")
+JOBS = Option("jobs", COUNT, "--jobs")
 SPLIT = (SEED, Option("ratios", NUMBERS))
 BOOST = (
     Option("rounds_universal", INTEGER, "--rounds-universal"),
@@ -107,10 +118,11 @@ PATH = (
     Option("grid_points", INTEGER, "--grid-points"),
     Option("grid_base", BASE, "--grid-base"),
     Option("drop", FRACTION),
+    JOBS,
 )
 STABILITY = (
     SEED,
-    Option("jobs", INTEGER, "--jobs"),
+    JOBS,
     Option("replicates", INTEGER, "--replicates"),
     Option("stability_variant", STRING, "--stability-variant", VARIANTS),
     Option("alpha", FRACTION),
@@ -149,6 +161,15 @@ def _boost_config(cfg: dict) -> BoostConfig:
     own = _pick(cfg, "rounds_universal", "rounds_task", "learning_rate", "lambda_u", "lambda_task")
     tree = TreeParams(**_pick(cfg, "max_depth", "min_samples_leaf", "min_gain", "criterion"))
     return BoostConfig(tree=tree, **(shared | own))
+
+
+def _jobs(cfg: dict) -> int:
+    """Worker processes: ``jobs`` if given, else the CPUs this process may run on."""
+    if "jobs" in cfg:
+        return cfg["jobs"]
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _naming(manifest: str, run, *args, **kwargs):
@@ -214,7 +235,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     config = _boost_config(cfg)
     grid = pathsweep.log_grid(**_pick(cfg, n_points="grid_points", base="grid_base"))
     _, standardized, _, split = _load_standardized(args.manifest, cfg)
-    path = _naming(args.manifest, pathsweep.sweep, standardized, split, config, grid)
+    path = _naming(args.manifest, pathsweep.sweep, standardized, split, config, grid, _jobs(cfg))
     chosen = pathsweep.select_penalty(path, **_pick(cfg, "drop"))
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "path.csv"), *path.csv_rows())
@@ -239,7 +260,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
     variant = cfg.get("stability_variant", NORMALIZED)
     alpha = cfg.get("alpha", ALPHA)
     Z_u, Z_tasks = _naming(
-        args.manifest, selection_replicates, dataset, config, **_pick(cfg, "replicates", "seed", "jobs")
+        args.manifest, selection_replicates, dataset, config, jobs=_jobs(cfg),
+        **_pick(cfg, "replicates", "seed"),
     )
     report = {
         "variant": variant,

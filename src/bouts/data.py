@@ -333,10 +333,34 @@ def standardize_dataset(
     return replace(data, tasks=tasks), standardizers
 
 
+# A task name becomes part of a file name (``stability`` writes Z_<task>.csv
+# next to Z_universal.csv), so it must be one file-name component that
+# names no other artifact.  255 bytes is the usual file-name limit.
+RESERVED_TASK_NAMES = ("", ".", "..", "universal")
+MAX_TASK_NAME_BYTES = 255 - len("Z_.csv")
+
+
+def _task_name_problem(name: str) -> Optional[str]:
+    """Why ``name`` cannot name a task, or None if it can."""
+    if name in RESERVED_TASK_NAMES:
+        return "is reserved"
+    if "/" in name or "\0" in name:
+        return "holds '/' or NUL"
+    try:
+        size = len(os.fsencode(name))
+    except UnicodeEncodeError:
+        return "cannot be encoded as a file name"
+    if size > MAX_TASK_NAME_BYTES:
+        return f"is {size} bytes long, over {MAX_TASK_NAME_BYTES}"
+    return None
+
+
 def load_manifest(path: str) -> MultitaskDataset:
     """Build a category from a JSON manifest: {"tasks": {name: csv_path}}.
 
-    Relative CSV paths resolve against the manifest's directory.
+    Relative CSV paths resolve against the manifest's directory.  A task
+    name must be usable in a file name and not be one of
+    ``RESERVED_TASK_NAMES``.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -346,6 +370,10 @@ def load_manifest(path: str) -> MultitaskDataset:
     entries = manifest.get("tasks") if isinstance(manifest, dict) else None
     if not isinstance(entries, dict) or not entries:
         raise DataError(f"{path}: manifest must map task names to CSV paths under 'tasks'")
+    for name in sorted(entries):
+        problem = _task_name_problem(name)
+        if problem:
+            raise DataError(f"{path}: task name {name!r} {problem}")
     base = os.path.dirname(os.path.abspath(path))
     tasks = []
     for name in sorted(entries):

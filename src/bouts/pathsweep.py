@@ -5,6 +5,9 @@ two-stage selector, then re-fit a plain per-task boosted model restricted to
 the selected features and score it.  The operating penalty is the largest
 one that still precedes any task dropping more than 10% of the explained
 variance it had at the smallest penalty.
+
+The grid points are independent, so ``sweep`` fits them in a process pool
+and returns them in grid order; the result does not depend on the pool size.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .boosting import BoostConfig, fit, fit_single_task, task_specific_features, universal_features
+from .boosting import (
+    BoostConfig,
+    fit,
+    fit_single_task,
+    pool_map,
+    task_specific_features,
+    universal_features,
+)
 from .data import MultitaskDataset, SplitAssignment
 from .errors import DataError, NumericalError
 from .trees import TreeParams
@@ -182,37 +192,50 @@ def downstream_scores(
     return evs, naes
 
 
+def _path_point(
+    dataset: MultitaskDataset, split: SplitAssignment, base_config: BoostConfig, lam: float
+) -> PathPoint:
+    """One grid point: fit the selector at penalty ``lam`` and score its selections.
+
+    An error names the penalty.
+    """
+    config = replace(base_config, lambda_u=lam, lambda_task=lam)
+    try:
+        model = fit(dataset, split, config)
+        selected = [
+            model.universal_feature_indices | model.task_feature_indices(t)
+            for t in range(dataset.n_tasks)
+        ]
+        evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
+    except Exception as e:
+        raise type(e)(f"penalty {lam}: {e}") from e
+    uni = universal_features(model)
+    spec = [task_specific_features(model, t) for t in range(dataset.n_tasks)]
+    return PathPoint(lam=lam, universal=uni, task_specific=spec, ev_train=evs, nae_test=naes)
+
+
 def sweep(
     dataset: MultitaskDataset,
     split: SplitAssignment,
     base_config: BoostConfig,
     grid: Optional[Sequence[float]] = None,
+    jobs: int = 1,
 ) -> RegularizationPath:
     """Fit the selector at every grid penalty and score the selections.
 
     Each grid value is used for both the universal and the task penalties.
+    The points run in up to ``jobs`` processes; results do not depend on
+    ``jobs``.
     """
     if grid is None:
         grid = log_grid()
     if len(grid) == 0:
         raise ValueError("penalty grid is empty")
-    points: list[PathPoint] = []
-    for lam in grid:
-        config = replace(base_config, lambda_u=float(lam), lambda_task=float(lam))
-        try:
-            model = fit(dataset, split, config)
-            selected = [
-                model.universal_feature_indices | model.task_feature_indices(t)
-                for t in range(dataset.n_tasks)
-            ]
-            evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
-        except Exception as e:
-            raise type(e)(f"penalty {lam}: {e}") from e
-        uni = universal_features(model)
-        spec = [task_specific_features(model, t) for t in range(dataset.n_tasks)]
-        points.append(
-            PathPoint(lam=float(lam), universal=uni, task_specific=spec, ev_train=evs, nae_test=naes)
-        )
+    # The smallest penalty admits the most features, so its point costs the
+    # most; the grid increases, so grid order hands it out first.
+    points = pool_map(
+        _path_point, [float(lam) for lam in grid], jobs, (dataset, split, base_config)
+    )
     return RegularizationPath(task_names=dataset.task_names, points=points)
 
 

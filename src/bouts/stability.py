@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boosting import BoostConfig, fit
+from .boosting import BoostConfig, fit, pool_map
 from .data import (
     MultitaskDataset,
     TaskDataset,
@@ -268,18 +268,18 @@ def universal_correlation_matrix(
 
 
 def _replicate_rows(
-    dataset: MultitaskDataset, config: BoostConfig, m: int, seed: int
+    dataset: MultitaskDataset, config: BoostConfig, seed: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replicate m: a fresh split, one universal row, T single-task rows; an
-    error names the replicate and its split seed."""
+    """Replicate m: a fresh split with seed ``seed + m``, one universal row,
+    T single-task rows; an error names the replicate and its split seed."""
     try:
-        split = overlap_split(dataset.tasks, seed=seed)
+        split = overlap_split(dataset.tasks, seed=seed + m)
         standardized, _ = standardize_dataset(dataset, split)
         # Universal selections do not depend on stage 2, so skip it here.
         model_u = fit(standardized, split, replace(config, rounds_task=0))
         model_s = fit(standardized, split, replace(config, rounds_universal=0))
     except BoutsError as e:
-        raise type(e)(f"replicate {m} (split seed {seed}): {e}") from None
+        raise type(e)(f"replicate {m} (split seed {seed + m}): {e}") from None
     rows = np.zeros((1 + dataset.n_tasks, len(dataset.candidate_features)))
     rows[0, list(model_u.universal_feature_indices)] = 1.0
     for t in range(dataset.n_tasks):
@@ -307,15 +307,7 @@ def selection_replicates(
             "stability replicates compare universal and single-task selections; "
             "both stage budgets must be >= 1"
         )
-    args = ([dataset] * replicates, [config] * replicates, range(replicates))
-    seeds = [seed + m for m in range(replicates)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, replicates)) as pool:
-            results = list(pool.map(_replicate_rows, *args, seeds))
-    else:
-        results = list(map(_replicate_rows, *args, seeds))
+    results = pool_map(_replicate_rows, range(replicates), jobs, (dataset, config, seed))
     names = list(dataset.candidate_features)
     Z_u = np.stack([r[0] for r in results])
     Z_t = np.stack([r[1] for r in results])  # (M, T, d)

@@ -1,11 +1,14 @@
 """Two-stage boosting: configs, the fit loop, selections, and importances."""
 
+import concurrent.futures
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
 
+from bouts import pathsweep
 from bouts.boosting import (
     BoostConfig,
     BoutsModel,
@@ -13,12 +16,15 @@ from bouts.boosting import (
     feature_importances,
     fit,
     fit_single_task,
+    pool_map,
     task_specific_features,
     universal_features,
 )
-from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset
+from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset, overlap_split
 from bouts.errors import DataError, NumericalError
 from bouts.multitask import MultitaskTree
+from bouts.stability import selection_replicates
+from bouts.synth import SynthSpec, generate
 from bouts.trees import TreeParams
 
 STUMPS = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=1e-7)
@@ -421,3 +427,80 @@ class TestFlatTreeRouting:
         X[1, root] = np.nan
         with pytest.raises(NumericalError, match=f"feature index {root} "):
             tree.predict(0, X)
+
+
+def _offset_or_fail(offset: int, item: int) -> int:
+    """A pool worker: ``offset + item``, or a DataError naming items 3 and up."""
+    if item >= 3:
+        raise DataError(f"item {item}")
+    return offset + item
+
+
+class TestPoolMap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Swap in a pool that records how it is built and what each call
+        would ship, and runs the calls here; it starts no process."""
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                self.workers, self.initargs = max_workers, initargs
+                pools.append(self)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                self.calls = [pickle.dumps((fn, item)) for item in items]
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return pools
+
+    @pytest.mark.parametrize("caller", ["selection_replicates", "sweep"])
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_pool_has_at_most_one_worker_per_item(
+        self, caller, jobs, workers, pools, monkeypatch
+    ):
+        monkeypatch.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (5, 10))
+        spec = SynthSpec(
+            n_tasks=2, n_features=6, n_samples=60, universal=[0], task_specific=[[1], [2]],
+            seed=3,
+        )
+        data, _ = generate(spec)
+        config = BoostConfig(rounds_universal=3, rounds_task=3, lambda_u=0.5, lambda_task=0.5)
+        if caller == "sweep":
+            split = overlap_split(data.tasks, seed=0)
+            path = pathsweep.sweep(data, split, config, grid=[0.5, 1.0, 2.0], jobs=jobs)
+            assert len(path.points) == 3
+        else:
+            uni, _ = selection_replicates(data, config, replicates=3, seed=7, jobs=jobs)
+            assert uni.n_replicates == 3
+        (pool,) = pools
+        assert pool.workers == workers
+        # The dataset travels once per worker, in the initializer arguments;
+        # each call carries only its item.
+        (shared,) = pool.initargs
+        assert shared[0] is data
+        assert len(pool.calls) == 3
+        assert max(map(len, pool.calls)) < len(pickle.dumps(data)) / 20
+
+    def test_one_job_starts_no_pool(self, pools):
+        assert pool_map(_offset_or_fail, range(3), 1, (10,)) == [10, 11, 12]
+        assert pool_map(_offset_or_fail, [2], 4, (10,)) == [12]
+        assert pools == []
+
+    def test_results_and_first_failure_in_item_order(self):
+        assert pool_map(_offset_or_fail, range(3), 2, (10,)) == [10, 11, 12]
+        # Items 3, 4 and 5 fail; the error raised is item 3's, as in a loop.
+        with pytest.raises(DataError, match="^item 3$"):
+            pool_map(_offset_or_fail, range(6), 2, (10,))
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+            pool_map(_offset_or_fail, range(3), 0)

@@ -32,6 +32,7 @@ from bouts.data import Standardizer, load_manifest, load_task_csv, overlap_split
 from bouts.errors import NumericalError
 from bouts.multitask import MultitaskTree
 from bouts.schemas import load_schema
+from bouts.stability import selection_replicates as replicates
 
 # A model.json (2 tasks, 3 rounds of each stage), the task CSVs it scores and
 # the `bouts predict` output for each, written before single-task trees
@@ -509,6 +510,25 @@ class TestPathCommand:
         # At e^-4 nearly everything clears the penalty; at e^4 nothing does.
         assert len(feature_rows) > 1
 
+    def test_jobs_do_not_change_the_artifacts(self, synth_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (10, 30))
+        args = (
+            "--manifest", os.path.join(synth_dir, "manifest.json"), "--grid-points", "3",
+            "--rounds-universal", "5", "--rounds-task", "5", "--seed", "0",
+        )
+        outs = {jobs: str(tmp_path / f"jobs{jobs}") for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert run("path", *args, "--out", out, "--jobs", jobs) == cli.EXIT_OK
+        points = read_json(os.path.join(outs["1"], "path.json"))["points"]
+        # The points select different sets, so a reordering would show too.
+        assert len({json.dumps([p["universal"], p["task_specific"]]) for p in points}) == 3
+        names = ("path.json", "path.csv", "selected_lambda.json", "features_by_lambda.csv")
+        assert sorted(os.listdir(outs["1"])) == sorted(names)
+        for name in names:
+            assert read_bytes(os.path.join(outs["1"], name)) == read_bytes(
+                os.path.join(outs["2"], name)
+            ), name
+
 
 class TestStabilityCommand:
     def test_writes_schema_valid_report_and_matrices(self, synth_dir, tmp_path):
@@ -637,7 +657,6 @@ class TestExitCodes:
             ("fit", "--grid-base", "2"),
             ("fit", "--stability-variant", "normalized"),
             ("fit", "--replicates", "3"),
-            ("path", "--jobs", "2"),
             ("path", "--stability-variant", "normalized"),
             ("path", "--replicates", "3"),
             ("stability", "--grid-points", "3"),
@@ -692,6 +711,34 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert str(cfg_path) in err and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["path", "stability"])
+    @pytest.mark.parametrize("given", ["flag 0", "flag -3", "config 0", "config -1", "config 1.5"])
+    def test_jobs_below_one_exits_usage_before_loading(
+        self, command, given, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a bad --jobs reached the data")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        way, value = given.split()
+        if way == "flag":
+            extra = ("--jobs", value)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"jobs": float(value) if "." in value else int(value)}))
+            extra = ("--config", str(cfg_path))
+        argv = (
+            command, "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), *extra,
+        )
+        try:
+            code = run(*argv)
+        except SystemExit as e:  # argparse rejects a bad flag value
+            code = e.code
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "jobs" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--lambda", "--min-gain"])
     def test_nan_penalty_or_gain_floor_exits_usage(self, flag, synth_dir, tmp_path, capsys):
@@ -844,8 +891,9 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
         assert "constant on train" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failing_path_point_names_the_manifest_and_penalty(
-        self, synth_dir, tmp_path, capsys, monkeypatch
+        self, jobs, synth_dir, tmp_path, capsys, monkeypatch
     ):
         def fail(*args, **kwargs):
             raise NumericalError("explained variance is undefined for a constant target")
@@ -855,6 +903,7 @@ class TestExitCodes:
         code = run(
             "path", "--manifest", manifest, "--out", str(tmp_path / "out"),
             "--grid-points", "2", "--rounds-universal", "2", "--rounds-task", "2",
+            "--jobs", jobs,
         )
         err = capsys.readouterr().err
         assert code == cli.EXIT_NUMERICAL
@@ -982,6 +1031,56 @@ def test_mangled_input_exits_with_a_documented_code(data):
         assert message.startswith("error:"), message
         named = [data_dir, *_named_paths(files["manifest.json"])]
         assert any(p in message or repr(p) in message for p in named), message
+
+
+# ---------------------------------------------------------------------------
+# Task names: a name becomes part of `bouts stability`'s Z_<task>.csv, so a
+# name that cannot be one file name, or that names Z_universal.csv, is
+# rejected before any fit.
+
+TASK_NAMES = st.one_of(
+    st.sampled_from(["universal", "", ".", "..", "a/b", "/", "x\x00y", "sol,aq", "é" * 125]),
+    st.sampled_from(["a" * 249, "a" * 250, "\ud800", "Universal", "line\nbreak"]),
+    st.text(max_size=12),
+)
+
+
+@given(names=st.lists(TASK_NAMES, min_size=1, max_size=2, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_task_names_write_their_matrices_or_exit_data_before_fitting(names):
+    files = tiny_files()
+    fits = []
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for name in TASK_FILES:
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(files[name])
+        manifest = os.path.join(tmp, "manifest.json")
+        with open(manifest, "w") as fh:
+            json.dump({"tasks": dict(zip(names, TASK_FILES))}, fh)
+        mp.setattr(cli, "selection_replicates", lambda *a, **k: fits.append(1) or replicates(*a, **k))
+        out = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(err):
+            code = run(
+                "stability", "--manifest", manifest, "--out", out, "--jobs", "1",
+                "--replicates", "2", "--rounds-universal", "3", "--rounds-task", "3",
+            )
+        message = err.getvalue()
+        if code == cli.EXIT_DATA:
+            assert not fits and not os.path.exists(out)
+            assert message.startswith(f"error: {manifest}: task name "), message
+            assert any(repr(name) in message for name in names), message
+            return
+        assert code == cli.EXIT_OK, message
+        report = read_json(os.path.join(out, "stability_report.json"))
+        expected = {"stability_report.json", "Z_universal.csv", *(f"Z_{n}.csv" for n in names)}
+        assert set(os.listdir(out)) == expected
+        for name, entry in [("universal", report["universal"]), *report["tasks"].items()]:
+            with open(os.path.join(out, f"Z_{name}.csv"), newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == report["replicates"] == 2
+            counts = [sum(map(int, row)) for row in rows]
+            assert entry["mean_features_selected"] == sum(counts) / len(counts)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,21 @@ class TestSweep:
         n_selected = [len(p.universal) + len(p.task_specific[0]) for p in (loose, tight)]
         assert n_selected == [2, 0]
 
+    def test_jobs_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (20, 60))
+        data = small_dataset(reps=8)
+        split = overlap_split(data.tasks, seed=0)
+        grid = [10.0, 120.0, 1e5]  # the bands of test_two_point_sweep
+        serial = sweep(data, split, self.base_config(), grid=grid, jobs=1)
+        pooled = sweep(data, split, self.base_config(), grid=grid, jobs=2)
+        # The points select different sets, so a reordering would show too.
+        assert len({json.dumps([p.universal, p.task_specific]) for p in serial.points}) == 3
+        assert pooled.to_dict() == serial.to_dict()
+        for a, b in zip(serial.points, pooled.points):
+            assert len(a.nae_test) == len(b.nae_test) == 2
+            for x, y in zip(a.nae_test, b.nae_test):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_error_names_the_penalty(self):
         data = small_dataset()
         split = overlap_split(data.tasks, seed=0)

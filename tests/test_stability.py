@@ -1,6 +1,5 @@
 """Stability statistics: point estimates, variances, tests, correlations."""
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -331,31 +330,6 @@ class TestSelectionReplicates:
         bad = BoostConfig(rounds_universal=0, rounds_task=5)
         with pytest.raises(ValueError, match="stage budgets"):
             selection_replicates(data, bad, replicates=2)
-
-    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
-    def test_pool_has_at_most_one_worker_per_replicate(self, jobs, workers, monkeypatch):
-        started = []
-
-        class SerialPool:
-            """Records the pool size and runs the replicates here; starts no process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        data = replicate_dataset()
-        uni, _ = selection_replicates(data, self.config(), replicates=3, seed=7, jobs=jobs)
-        assert started == [workers]
-        assert uni.n_replicates == 3
 
     def test_jobs_do_not_change_results(self):
         spec = SynthSpec(
