@@ -54,6 +54,6 @@ from .stability import (
     ztest,
 )
 from .synth import SynthSpec, SynthTruth, generate, write_outputs
-from .trees import NodeView, TreeParams, penalized_gain, raw_gain
+from .trees import SortedRows, TreeParams, raw_gain, sort_rows
 
 __version__ = "0.1.0"

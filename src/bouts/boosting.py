@@ -19,7 +19,7 @@ import numpy as np
 from .data import MultitaskDataset, SplitAssignment, json_numbers
 from .errors import DataError
 from .multitask import MultitaskTree, grow_multitask_tree
-from .trees import TreeParams, sort_root
+from .trees import TreeParams, sort_rows
 
 # A single-leaf tree whose value is this close to zero adds nothing; the
 # round is skipped.  Residual means on standardized labels land here once
@@ -54,14 +54,13 @@ class BoostConfig:
         if not all(l >= 0 for l in lams):
             raise ValueError("lambda_task must be >= 0")
 
-    def lambda_for_task(self, t: int, n_tasks: int) -> float:
-        if _is_sequence(self.lambda_task):
-            if len(self.lambda_task) != n_tasks:
-                raise ValueError(
-                    f"lambda_task has {len(self.lambda_task)} entries for {n_tasks} tasks"
-                )
-            return float(self.lambda_task[t])
-        return float(self.lambda_task)
+    def task_lambdas(self, n_tasks: int) -> list[float]:
+        """Each task's stage-2 penalty; a ValueError unless a list has ``n_tasks`` entries."""
+        if not _is_sequence(self.lambda_task):
+            return [float(self.lambda_task)] * n_tasks
+        if len(self.lambda_task) != n_tasks:
+            raise ValueError(f"lambda_task has {len(self.lambda_task)} entries for {n_tasks} tasks")
+        return [float(lam) for lam in self.lambda_task]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -99,12 +98,12 @@ def _boost(
     producing a single leaf with every value ~0 is skipped; since nothing
     changed, every later round would repeat it, so the loop exits.
     """
-    # X is the same in every round: sort each task's root once.
-    roots = [sort_root(X) for X in Xs]
+    # X is the same in every round: prepare each task's root once.
+    roots = [sort_rows(np.ascontiguousarray(X.T, dtype=np.float64)) for X in Xs]
     trees: list[MultitaskTree] = []
     history: list[list[float]] = []
     for _ in range(rounds):
-        tree, leaf_of_row = grow_multitask_tree(Xs, residuals, used, lam, params, roots)
+        tree, leaf_of_row = grow_multitask_tree(roots, residuals, used, lam, params)
         if tree.is_stump_leaf and all(abs(v) <= DEGENERATE_TOL for v in tree.values[0]):
             break
         trees.append(tree)
@@ -244,6 +243,7 @@ def fit(
     ("task", (task, trees_so_far), residual copy) during stage 2.
     """
     T = dataset.n_tasks
+    lambda_tasks = config.task_lambdas(T)  # a bad list fails before any tree grows
     Xs, ys = [], []
     for t, task in enumerate(dataset.tasks):
         idx = split.train[t]
@@ -269,9 +269,9 @@ def fit(
         cb = None
         if on_round is not None:
             cb = lambda b, res, _, _t=t: on_round("task", (_t, b), res[0].copy())
-        lam = config.lambda_for_task(t, T)
         trees, _, history = fit_single_task(
-            Xs[t], residuals[t], config.rounds_task, beta, lam, universal_used, config.tree, cb
+            Xs[t], residuals[t], config.rounds_task, beta, lambda_tasks[t], universal_used,
+            config.tree, cb,
         )
         task_trees.append(trees)
         task_mse.append(history)

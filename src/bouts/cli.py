@@ -106,13 +106,16 @@ BOOST = (
     Option("rounds_universal", INTEGER, "--rounds-universal"),
     Option("rounds_task", INTEGER, "--rounds-task"),
     Option("learning_rate", NUMBER, "--learning-rate"),
-    Option("lam", NUMBER, "--lambda"),
-    Option("lambda_u", NUMBER),
-    Option("lambda_task", PENALTIES),
     Option("max_depth", INTEGER, "--max-depth"),
     Option("min_samples_leaf", INTEGER, "--min-samples-leaf"),
     Option("min_gain", NUMBER, "--min-gain"),
     Option("criterion", STRING, "--criterion", CRITERIA),
+)
+# ``path`` sets both penalties from its grid, so only fit and stability read these.
+PENALTY = (
+    Option("lam", NUMBER, "--lambda"),
+    Option("lambda_u", NUMBER),
+    Option("lambda_task", PENALTIES),
 )
 PATH = (
     Option("grid_points", INTEGER, "--grid-points"),
@@ -346,7 +349,7 @@ def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
         with open(path) as fh:
             bundle = json.load(fh)
         saved = {**bundle["model"]["config"], **bundle["model"]["config"]["tree"]}
-        for opt in (opt for opt in BOOST if opt.key != "lam"):
+        for opt in (opt for opt in BOOST + PENALTY if opt.key != "lam"):
             _from_json(saved[opt.key], opt, "config")  # as a --config file must give it
         model = BoutsModel.from_dict(bundle["model"])
         standardizers = [
@@ -408,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, func, options, help_text in (
-        ("fit", cmd_fit, SPLIT + BOOST, "fit the selector and write reports"),
+        ("fit", cmd_fit, SPLIT + BOOST + PENALTY, "fit the selector and write reports"),
         ("path", cmd_path, SPLIT + BOOST + PATH, "sweep the penalty grid"),
-        ("stability", cmd_stability, BOOST + STABILITY, "replicate-split stability study"),
+        ("stability", cmd_stability, BOOST + PENALTY + STABILITY, "replicate-split stability study"),
     ):
         # A flag not given sets no attribute: the config file or the library decides.
         cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)

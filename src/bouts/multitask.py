@@ -7,15 +7,16 @@ feature, and the feature with the largest worst-task gain wins.
 
 This is the package's only tree.  A single-task tree is the T=1 case, where
 the maximin rule reduces to the plain argmax of the penalized gain; stage-2
-boosting and the downstream re-fits grow such trees.  ``maximin_split`` takes
-every candidate split from ``trees.scan_columns`` and re-scores only the
-candidates the scan cannot tell apart from a feature's best with the
-definition, ``trees.raw_gain``.  ``MultitaskTree`` keeps its nodes in flat
-arrays, which ``MultitaskTree.of_nodes`` builds from one record per node for
-the grower and the decoder alike, and owns the two on-disk node layouts:
-per-task lists for universal trees and scalars for T=1 stage-2 trees.  The
-grower reads each node's rows as a feature-major gather, hands
-``maximin_split`` the root's rows presorted (``trees.SortedRoot``), and
+boosting and the downstream re-fits grow such trees.  ``maximin_split`` reads
+one prepared node per task (``trees.SortedRows``): it takes every candidate
+split from ``trees.scan_columns`` and re-scores only the candidates the scan
+cannot tell apart from a feature's best with the definition, ``trees.raw_gain``,
+at the node's own ``SortedRows.threshold``.  ``MultitaskTree`` keeps its nodes
+in flat arrays, which ``MultitaskTree.of_nodes`` builds from one record per
+node for the grower and the decoder alike, and owns the two on-disk node
+layouts: per-task lists for universal trees and scalars for T=1 stage-2 trees.
+The grower takes each task's prepared root, prepares every node below it once
+from its gather of the root's rows, routes the node's rows on those, and
 returns the leaf each training row reached, so boosting never routes its own
 training rows.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import json_numbers
 from .errors import DataError, NumericalError
-from .trees import TIE_MARGIN, NodeView, SortedRoot, TreeParams, raw_gain, scan_columns, sort_root
+from .trees import TIE_MARGIN, SortedRows, TreeParams, raw_gain, scan_columns, sort_rows
 
 
 @dataclass(frozen=True)
@@ -44,35 +45,34 @@ class MultitaskSplit:
 
 
 def maximin_split(
-    views: Sequence[NodeView],
+    nodes: Sequence[SortedRows],
+    ys: Sequence[np.ndarray],
     used_universal: AbstractSet[int],
     lambda_u: float,
     params: TreeParams,
-    roots: Optional[Sequence[SortedRoot]] = None,
 ) -> Optional[MultitaskSplit]:
     """Shared split feature maximizing the minimum per-task penalized gain.
 
-    ``views`` holds one node view per task.  Pass one scores every feature:
-    each task maximizes over its own midpoint thresholds, the per-feature
-    score is the min across tasks, and the argmax feature wins (lowest index
-    on ties).  Pass two re-scores, for each feature within the tie margin of
-    the best score and each task, every candidate within the tie margin of
-    that task's best with the definition-based ``raw_gain`` and keeps the
-    first maximum (the lowest threshold on ties), so near-ties cannot be
-    misordered by scan arithmetic.  Returns None when the score is <=
-    ``params.min_gain``.  ``roots`` (``sort_root`` of each view's rows) only
-    spares the scans their sorts.
+    ``nodes`` holds one prepared node per task and ``ys`` its targets.  Pass
+    one scores every feature: each task maximizes over its own midpoint
+    thresholds, the per-feature score is the min across tasks, and the argmax
+    feature wins (lowest index on ties).  Pass two re-scores, for each feature
+    within the tie margin of the best score and each task, every candidate
+    within the tie margin of that task's best with the definition-based
+    ``raw_gain`` and keeps the first maximum (the lowest threshold on ties), so
+    near-ties cannot be misordered by scan arithmetic.  Returns None when the
+    score is <= ``params.min_gain``.
     """
-    if not views:
-        raise ValueError("need one node view per task")
-    d = views[0].X.shape[1]
+    if not nodes or len(ys) != len(nodes):
+        raise ValueError("need one node and one target vector per task")
+    d = nodes[0].XT.shape[0]
     m = params.min_samples_leaf
     charges = np.full(d, float(lambda_u))  # the charge for adding each feature
     charges[list(used_universal)] = 0.0
     # Per task: the (d, n - 2m + 1) candidate gains and each feature's best.
     cands = [
-        scan_columns(view.X.T, view.y, m, params.criterion, root)
-        for view, root in zip(views, roots or [None] * len(views))
+        scan_columns(node.order, node.distinct, y, m, params.criterion)
+        for node, y in zip(nodes, ys)
     ]
     raws = [cand.max(axis=1, initial=-np.inf) for cand in cands]
     # -inf (no candidate) stays -inf, and so does any gain charged lambda = inf.
@@ -88,13 +88,12 @@ def maximin_split(
     for f in shortlist.tolist():
         charge = float(charges[f])
         task_best = []
-        for view, cand, raw in zip(views, cands, raws):
-            xs = np.sort(view.X[:, f])
+        for node, y, cand, raw in zip(nodes, ys, cands, raws):
             near = np.flatnonzero(cand[f] >= raw[f] - TIE_MARGIN * max(1.0, abs(raw[f])))
             top = None  # (penalized gain, threshold, raw gain)
             for j in near.tolist():
-                v = float(0.5 * (xs[m + j - 1] + xs[m + j]))
-                g_raw = raw_gain(view, f, v, params.criterion)
+                v = node.threshold(f, j, m)
+                g_raw = raw_gain(node.XT[f], y, v, params.criterion)
                 if top is None or g_raw - charge > top[0]:
                     top = (g_raw - charge, v, g_raw)
             task_best.append(top)
@@ -261,15 +260,16 @@ class MultitaskTree:
 
 
 def grow_multitask_tree(
-    Xs: Sequence[np.ndarray],
+    roots: Sequence[SortedRows],
     ys: Sequence[np.ndarray],
     used_universal: AbstractSet[int] = frozenset(),
     lambda_u: float = 0.0,
     params: Optional[TreeParams] = None,
-    roots: Optional[Sequence[SortedRoot]] = None,
 ) -> tuple[MultitaskTree, list[np.ndarray]]:
     """Grow one shared-topology tree over all tasks' current targets.
 
+    ``roots`` holds each task's prepared training rows (``trees.sort_rows``),
+    so a caller that grows many trees on the same rows prepares them once.
     A node position turns into a leaf (for every task) when the depth limit
     is hit, when ANY task has too few samples to split, or when no feature
     clears the maximin bar.  Leaf values are per-task target means.  A
@@ -277,19 +277,16 @@ def grow_multitask_tree(
     descendant split, so ``lambda_u`` is charged once per feature the tree
     adds to the model.
 
-    Returns the tree and, per task, the index of the leaf each row of
-    ``Xs[t]`` reaches.  ``roots`` (``sort_root`` of each ``Xs[t]``) lets a
-    caller that grows many trees on the same rows sort them once.
+    Returns the tree and, per task, the index of the leaf each training row
+    reaches.
     """
     if params is None:
         params = TreeParams()
-    n_tasks = len(Xs)
+    n_tasks = len(roots)
     if n_tasks == 0 or len(ys) != n_tasks:
-        raise ValueError("need one (X, y) pair per task")
+        raise ValueError("need one prepared root and one target vector per task")
     if any(len(y) == 0 for y in ys):
         raise ValueError("cannot grow a tree on zero samples")
-    if roots is None:
-        roots = [sort_root(X) for X in Xs]
     used_now = set(used_universal)
     min_split = 2 * params.min_samples_leaf
     LEAF = MultitaskTree.LEAF
@@ -302,11 +299,14 @@ def grow_multitask_tree(
         records.append(None)  # filled in once its children are numbered
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
-            # The root reads every row: no gather, and its sort is prepared.
-            at_root = depth == 0
-            cols = [root.XT if at_root else root.XT[:, idx] for root, idx in zip(roots, idxs)]
-            views = [NodeView(XT.T, y if at_root else y[idx]) for XT, y, idx in zip(cols, ys, idxs)]
-            split = maximin_split(views, used_now, lambda_u, params, roots if at_root else None)
+            # The root reads every row and is prepared; any other node is
+            # prepared once from its gather of the root's rows.
+            if depth == 0:
+                nodes, node_ys = roots, ys
+            else:
+                nodes = [sort_rows(root.XT[:, idx]) for root, idx in zip(roots, idxs)]
+                node_ys = [y[idx] for y, idx in zip(ys, idxs)]
+            split = maximin_split(nodes, node_ys, used_now, lambda_u, params)
         if split is None:
             for rows, idx in zip(leaf_of_row, idxs):
                 rows[idx] = i
@@ -315,7 +315,7 @@ def grow_multitask_tree(
             return i
         f = split.feature
         used_now.add(f)
-        go_left = [XT[f] <= v for XT, v in zip(cols, split.thresholds)]
+        go_left = [node.XT[f] <= v for node, v in zip(nodes, split.thresholds)]
         left = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
         right = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
         records[i] = (f, left, right, split.thresholds, nans, split.raw_gains, split.gains)

@@ -14,8 +14,6 @@ estimates.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -68,18 +66,6 @@ class SelectionMatrix:
     def csv_rows(self) -> tuple[list[str], list[list[int]]]:
         """Header (the feature names) and one 0/1 row per replicate."""
         return self.feature_names, self.Z.astype(np.int64).tolist()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SelectionMatrix":
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 3:
-            raise DataError("selection CSV needs a header and at least 2 rows")
-        header = [h.strip() for h in rows[0]]
-        try:
-            Z = np.array([[int(v) for v in row] for row in rows[1:] if row], dtype=np.float64)
-        except ValueError as e:
-            raise DataError(f"selection CSV has a non-integer cell: {e}") from None
-        return cls(Z=Z, feature_names=header)
 
 
 def _check_variant(variant: str) -> None:
@@ -307,6 +293,7 @@ def selection_replicates(
             "stability replicates compare universal and single-task selections; "
             "both stage budgets must be >= 1"
         )
+    config.task_lambdas(dataset.n_tasks)  # a bad list fails here, not in every replicate
     results = pool_map(_replicate_rows, range(replicates), jobs, (dataset, config, seed))
     names = list(dataset.candidate_features)
     Z_u = np.stack([r[0] for r in results])

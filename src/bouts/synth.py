@@ -68,8 +68,8 @@ class SynthSpec:
                 )
         if len(uni) + sum(len(s) for s in self.task_specific) >= d:
             raise DataError("planted features must leave room for nuisance features")
-        if self.noise_sigma < 0:
-            raise DataError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
+            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.correlation_rho < 1.0:
             raise DataError("correlation_rho must be in [0, 1)")
         if self.nonlinearity not in NONLINEARITIES:

@@ -37,12 +37,10 @@ from bouts.synth import SynthSpec, generate
 from bouts.trees import (
     CRITERIA,
     VARIANCE,
-    NodeView,
     TreeParams,
-    penalized_gain,
     raw_gain,
     scan_columns,
-    sort_root,
+    sort_rows,
 )
 
 GAIN_TOL = 1e-12
@@ -130,24 +128,34 @@ def random_targets(rng: np.random.Generator, X: np.ndarray) -> np.ndarray:
     return X @ w + 0.5 * rng.normal(size=n)
 
 
-def enumerate_best_single(node, used, lam, params):
+def prepared(X):
+    """The (n, d) matrix ``X`` prepared as a node."""
+    return sort_rows(np.ascontiguousarray(X.T))
+
+
+def charged_gain(X, y, f, v, used, lam, criterion):
+    """``raw_gain`` minus the charge ``lam`` when ``f`` is a new feature."""
+    return raw_gain(X[:, f], y, v, criterion) - (0.0 if f in used else lam)
+
+
+def enumerate_best_single(X, y, used, lam, params):
     """Plain argmax of the penalized gain over every (feature, midpoint)."""
     best = None
-    for f in range(node.X.shape[1]):
-        col = node.X[:, f]
+    for f in range(X.shape[1]):
+        col = X[:, f]
         xs = np.unique(col)
         for lo, hi in zip(xs[:-1], xs[1:]):
             v = (lo + hi) / 2.0
             n_left = int((col <= v).sum())
-            if min(n_left, len(node) - n_left) < params.min_samples_leaf:
+            if min(n_left, len(y) - n_left) < params.min_samples_leaf:
                 continue
-            g = penalized_gain(node, f, v, used, lam, params.criterion)
+            g = charged_gain(X, y, f, v, used, lam, params.criterion)
             if best is None or g > best[0]:
                 best = (g, f, v)
     if best is None or best[0] <= params.min_gain:
         return None
     g, f, v = best
-    return g, f, v, raw_gain(node, f, v, params.criterion)
+    return g, f, v, raw_gain(X[:, f], y, v, params.criterion)
 
 
 def test_a1_split_oracle_equivalence():
@@ -168,9 +176,8 @@ def test_a1_split_oracle_equivalence():
             min_gain=0.0,
             criterion=str(rng.choice(CRITERIA)),
         )
-        node = NodeView(X, y)
-        got = maximin_split([node], used, lam, params)
-        want = enumerate_best_single(node, used, lam, params)
+        got = maximin_split([prepared(X)], [y], used, lam, params)
+        want = enumerate_best_single(X, y, used, lam, params)
         if want is None:
             assert got is None
             continue
@@ -198,15 +205,16 @@ def test_a1_definition_overrides_the_scan_on_a_tie():
         [0.5, 1.3762055289095616, 1.668150629718043],
         [-1.3, -0.7434350846307666, 0.0464148224834097],
     ])
-    node = NodeView(X, np.array([1.0, 2.0, 0.0]))
+    y = np.array([1.0, 2.0, 0.0])
     used, lam = {1, 2}, 0.1
     params = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
     col = np.sort(X[:, 1])
     lower, upper = (col[0] + col[1]) / 2.0, (col[1] + col[2]) / 2.0
-    assert raw_gain(node, 1, lower, params.criterion) < raw_gain(node, 1, upper, params.criterion)
+    col_gain = lambda v: raw_gain(X[:, 1], y, v, params.criterion)
+    assert col_gain(lower) < col_gain(upper)
 
-    got = maximin_split([node], used, lam, params)
-    want = enumerate_best_single(node, used, lam, params)
+    got = maximin_split([prepared(X)], [y], used, lam, params)
+    want = enumerate_best_single(X, y, used, lam, params)
     assert got.feature == want[1] == 1
     assert got.thresholds[0] == want[2] == upper
 
@@ -215,14 +223,13 @@ def test_a1_definition_overrides_the_scan_on_a_tie():
 # A2: the maximin shared-feature search equals brute force.
 
 
-def brute_force_maximin(views, used, lam, params):
+def brute_force_maximin(Xs, ys, used, lam, params):
     """Independent maximin enumeration: per task the best penalized midpoint
     split per feature, then min across tasks, then argmax across features."""
     best = None
-    for f in range(views[0].X.shape[1]):
+    for f in range(Xs[0].shape[1]):
         per_task = []
-        for t in range(len(views)):
-            X, y = views[t].X, views[t].y
+        for X, y in zip(Xs, ys):
             xs = np.unique(X[:, f])
             cand = None
             for lo, hi in zip(xs[:-1], xs[1:]):
@@ -230,7 +237,7 @@ def brute_force_maximin(views, used, lam, params):
                 n_left = int((X[:, f] <= v).sum())
                 if min(n_left, len(y) - n_left) < params.min_samples_leaf:
                     continue
-                g = penalized_gain(NodeView(X, y), f, v, used, lam, params.criterion)
+                g = charged_gain(X, y, f, v, used, lam, params.criterion)
                 if cand is None or g > cand[0]:
                     cand = (g, v)
             per_task.append(cand)
@@ -266,9 +273,8 @@ def test_a2_maximin_oracle_equivalence():
             min_gain=0.0,
             criterion=str(rng.choice(CRITERIA)),
         )
-        views = [NodeView(X, y) for X, y in zip(Xs, ys)]
-        got = maximin_split(views, used, lam, params)
-        want = brute_force_maximin(views, used, lam, params)
+        got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)
+        want = brute_force_maximin(Xs, ys, used, lam, params)
         if want is None:
             assert got is None
             continue
@@ -286,31 +292,6 @@ def test_a2_maximin_oracle_equivalence():
           f"{n_splits} with a split, {elapsed:.1f}s)")
 
 
-def test_root_preparation_leaves_the_split_unchanged():
-    """``maximin_split`` with each task's rows sorted beforehand (as boosting
-    sorts the root once) returns exactly the split it finds sorting them itself,
-    on the A1 and A2 generators, whose integer and rounded columns tie."""
-    rng = np.random.default_rng(3)
-    n_splits = 0
-    for _ in range(600):
-        T = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 6))
-        Xs = [random_columns(rng, int(rng.integers(2, 33)), d) for _t in range(T)]
-        views = [NodeView(X, random_targets(rng, X)) for X in Xs]
-        used = {f for f in range(d) if rng.random() < 0.5}
-        lam = float(rng.choice([0.0, 0.1, 0.5]))
-        params = TreeParams(
-            max_depth=1,
-            min_samples_leaf=int(rng.integers(1, 3)),
-            min_gain=0.0,
-            criterion=str(rng.choice(CRITERIA)),
-        )
-        got = maximin_split(views, used, lam, params, [sort_root(X) for X in Xs])
-        assert got == maximin_split(views, used, lam, params)
-        n_splits += got is not None
-    assert n_splits > 200
-
-
 def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Feature matrix without a repeated value in any column."""
     return rng.normal(size=(n, d))
@@ -318,33 +299,36 @@ def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 @pytest.mark.parametrize("columns", [random_columns, continuous_columns])
 def test_scan_matches_the_definition(columns):
-    """Every finite scan gain is ``raw_gain`` at that boundary's midpoint, for
-    both criteria, and the scan reads -inf exactly between equal neighbours."""
+    """Every finite scan gain is ``raw_gain`` at that boundary's midpoint, which
+    is the node's threshold for that column, for both criteria, and the scan
+    reads -inf exactly between equal neighbours."""
     rng = np.random.default_rng(4)
     n_checked = 0
     for _ in range(300):
         n, d = int(rng.integers(2, 33)), int(rng.integers(1, 6))
         X = columns(rng, n, d)
         y = random_targets(rng, X)
-        node = NodeView(X, y)
+        node = prepared(X)
         m = int(rng.integers(1, 3))
         for criterion in CRITERIA:
-            cand = scan_columns(X.T, y, m, criterion)
+            cand = scan_columns(node.order, node.distinct, y, m, criterion)
             assert cand.shape == (d, max(n - 2 * m + 1, 0))
             for f, j in np.ndindex(*cand.shape):
                 xs = np.sort(X[:, f])
                 lo, hi = xs[m + j - 1], xs[m + j]
                 assert np.isneginf(cand[f, j]) == (lo == hi)
                 if lo < hi:
-                    g = raw_gain(node, f, float(0.5 * (lo + hi)), criterion)
+                    v = float(0.5 * (lo + hi))
+                    assert node.threshold(f, j, m) == v
+                    g = raw_gain(X[:, f], y, v, criterion)
                     assert abs(cand[f, j] - g) <= 1e-12 * max(1.0, abs(g))
                     n_checked += 1
     assert n_checked > 10_000
 
 
 def reference_tree(Xs, ys, used, lam, params):
-    """``grow_multitask_tree`` from its definition: ``maximin_split`` on a
-    fresh copy of every node's rows, with no preparation."""
+    """``grow_multitask_tree`` from its definition: ``maximin_split`` on every
+    node prepared from a fresh copy of its rows, routed on the original rows."""
     used_now = set(used)
     records = []
     leaf_of_row = [np.empty(len(y), dtype=np.intp) for y in ys]
@@ -355,8 +339,9 @@ def reference_tree(Xs, ys, used, lam, params):
         records.append(None)
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= 2 * params.min_samples_leaf:
-            views = [NodeView(X[idx], y[idx]) for X, y, idx in zip(Xs, ys, idxs)]
-            split = maximin_split(views, used_now, lam, params)
+            nodes = [prepared(X[idx]) for X, idx in zip(Xs, idxs)]
+            node_ys = [y[idx] for y, idx in zip(ys, idxs)]
+            split = maximin_split(nodes, node_ys, used_now, lam, params)
         if split is None:
             for rows, idx in zip(leaf_of_row, idxs):
                 rows[idx] = i
@@ -377,8 +362,8 @@ def reference_tree(Xs, ys, used, lam, params):
 
 @pytest.mark.parametrize("columns", [random_columns, continuous_columns])
 def test_grower_matches_the_reference_tree(columns):
-    """The grower, which prepares each node once and drops the tie mask of a
-    tie-free task, grows bit for bit the tree of ``reference_tree``."""
+    """The grower, which prepares each node below the root from its gather of
+    the root's rows, grows bit for bit the tree of ``reference_tree``."""
     rng = np.random.default_rng(5)
     n_internal = 0
     for _ in range(150):
@@ -393,7 +378,7 @@ def test_grower_matches_the_reference_tree(columns):
             min_gain=0.0,
             criterion=str(rng.choice(CRITERIA)),
         )
-        tree, leaves = grow_multitask_tree(Xs, ys, used, lam, params)
+        tree, leaves = grow_multitask_tree([prepared(X) for X in Xs], ys, used, lam, params)
         want, want_leaves = reference_tree(Xs, ys, used, lam, params)
         for key in ("feature", "left", "right", "thresholds", "values", "gains", "penalized_gains"):
             got_a, want_a = getattr(tree, key), getattr(want, key)

@@ -94,10 +94,10 @@ class TestBoostConfig:
 
     def test_per_task_penalty_lookup(self):
         cfg = BoostConfig(lambda_task=[0.1, 0.2])
-        assert cfg.lambda_for_task(1, 2) == 0.2
+        assert cfg.task_lambdas(2) == [0.1, 0.2]
         with pytest.raises(ValueError, match="2 entries for 3 tasks"):
-            cfg.lambda_for_task(0, 3)
-        assert BoostConfig(lambda_task=0.3).lambda_for_task(5, 9) == 0.3
+            cfg.task_lambdas(3)
+        assert BoostConfig(lambda_task=0.3).task_lambdas(9) == [0.3] * 9
 
     def test_dict_round_trip(self):
         cfg = BoostConfig(

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bouts import cli, pathsweep
+from bouts import boosting, cli, pathsweep
 from bouts.boosting import BoutsModel
 from bouts.data import Standardizer, load_manifest, load_task_csv, overlap_split
 from bouts.errors import NumericalError
@@ -45,6 +45,18 @@ PINNED_SYNTH_ARGS = (
     "--tasks", "2", "--features", "6", "--samples", "40",
     "--n-universal", "1", "--n-specific", "1", "--seed", "0",
 )
+# `bouts fit`'s model.json and selected_features.json for two runs on that set,
+# written before the split search read one prepared node type.  "integer" fits
+# a copy whose feature cells are rounded to integers (see `integer_copy`), so
+# most boundaries are ties and the window-edge thresholds are reached.
+PINNED_FIT_DIR = os.path.join(DATA_DIR, "fit_pinned")
+PINNED_FIT_RUNS = {
+    "planted": ("--rounds-universal", "10", "--rounds-task", "10", "--lambda", "0.1"),
+    "integer": (
+        "--rounds-universal", "20", "--rounds-task", "20",
+        "--criterion", "variance", "--min-samples-leaf", "1",
+    ),
+}
 
 
 def run(*args: str) -> int:
@@ -100,6 +112,21 @@ def fit_dir(synth_dir, tmp_path_factory) -> str:
     )
     assert code == cli.EXIT_OK
     return out
+
+
+def integer_copy(src: str, dst: str) -> str:
+    """Copy the manifest set in ``src`` to ``dst`` with every feature cell rounded
+    to an integer; returns the copy's manifest path."""
+    os.makedirs(dst)
+    manifest = os.path.join(src, "manifest.json")
+    shutil.copy(manifest, dst)
+    for name in read_json(manifest)["tasks"].values():
+        with open(os.path.join(src, name), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows = [[row[0], *(str(round(float(x))) for x in row[1:-1]), row[-1]] for row in rows]
+        with open(os.path.join(dst, name), "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return os.path.join(dst, "manifest.json")
 
 
 def test_import_does_not_load_scipy():
@@ -199,6 +226,18 @@ class TestFitCommand:
         assert sorted(written) == sorted(os.listdir(PINNED_DIR))
         for name, path in written.items():
             assert read_bytes(path) == read_bytes(os.path.join(PINNED_DIR, name)), name
+
+    @pytest.mark.parametrize("run_name", sorted(PINNED_FIT_RUNS))
+    def test_fit_reproduces_pinned_artifacts(self, run_name, tmp_path):
+        manifest = os.path.join(PINNED_DIR, "manifest.json")
+        if run_name == "integer":
+            manifest = integer_copy(PINNED_DIR, str(tmp_path / "integer"))
+        out = str(tmp_path / "fit")
+        code = run("fit", "--manifest", manifest, "--out", out, *PINNED_FIT_RUNS[run_name])
+        assert code == cli.EXIT_OK
+        for name in ("model.json", "selected_features.json"):
+            want = os.path.join(PINNED_FIT_DIR, run_name, name)
+            assert read_bytes(os.path.join(out, name)) == read_bytes(want), name
 
     def test_zero_universal_rounds_selects_no_universal(self, synth_dir, tmp_path):
         out = str(tmp_path / "nouniv")
@@ -659,6 +698,7 @@ class TestExitCodes:
             ("fit", "--replicates", "3"),
             ("path", "--stability-variant", "normalized"),
             ("path", "--replicates", "3"),
+            ("path", "--lambda", "5"),
             ("stability", "--grid-points", "3"),
             ("stability", "--grid-base", "2"),
         ],
@@ -692,6 +732,7 @@ class TestExitCodes:
             ("path", {"drop": 1.5}, "drop"),
             ("path", {"drop": 0}, "drop"),
             ("stability", {"alpha": 2}, "alpha"),
+            ("path", {"lambda_u": 1.0}, "lambda_u"),
         ],
     )
     def test_bad_config_key_or_type_exits_usage(
@@ -778,6 +819,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_synth_noise_exits_data_writing_nothing(self, noise, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("synth", "--out", str(out), "--noise", noise)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "noise_sigma" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "stability"])
+    def test_short_task_penalty_list_exits_usage_before_any_tree(
+        self, command, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a tree grew before lambda_task was checked")
+
+        monkeypatch.setattr(boosting, "grow_multitask_tree", no_tree)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda_task": [0.5]}))
+        jobs = ("--jobs", "1") if command == "stability" else ()
+        code = run(
+            command, "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), "--config", str(cfg_path), *jobs,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "lambda_task has 1 entries for 2 tasks" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand_exits_usage(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,15 +8,26 @@ from bouts.multitask import (
     grow_multitask_tree,
     maximin_split,
 )
-from bouts.trees import VARIANCE, NodeView, TreeParams, penalized_gain
+from bouts.trees import VARIANCE, TreeParams, raw_gain, sort_rows
 
 LOOSE = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
 Y4 = np.array([0.0, 0.0, 1.0, 1.0])
 
 
+def roots(Xs):
+    """Each (n, d) matrix of ``Xs`` prepared as a node."""
+    return [sort_rows(np.ascontiguousarray(np.asarray(X, dtype=float).T)) for X in Xs]
+
+
 def view(pairs):
-    return [NodeView(np.asarray(X, dtype=float), np.asarray(y, dtype=float)) for X, y in pairs]
+    """``maximin_split``'s nodes and targets for (X, y) pairs."""
+    return roots([X for X, _ in pairs]), [np.asarray(y, dtype=float) for _, y in pairs]
+
+
+def charged_gain(X, y, f, v, used, lam, criterion):
+    """``raw_gain`` minus the charge ``lam`` when ``f`` is a new feature."""
+    return raw_gain(X[:, f], y, v, criterion) - (0.0 if f in used else lam)
 
 
 def two_feature_gains(g0: float, g1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -37,15 +48,15 @@ def two_feature_gains(g0: float, g1: float) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def brute_force_maximin(views, used, lam, params):
+def brute_force_maximin(pairs, used, lam, params):
     """Independent enumeration of the maximin over features and thresholds."""
-    T = len(views)
-    d = views[0].X.shape[1]
+    T = len(pairs)
+    d = pairs[0][0].shape[1]
     best = None
     for f in range(d):
         per_task = []
         for t in range(T):
-            X, y = views[t].X, views[t].y
+            X, y = pairs[t]
             xs = np.unique(X[:, f])
             cand_best = None
             for lo, hi in zip(xs[:-1], xs[1:]):
@@ -53,8 +64,7 @@ def brute_force_maximin(views, used, lam, params):
                 n_left = int((X[:, f] <= v).sum())
                 if min(n_left, len(y) - n_left) < params.min_samples_leaf:
                     continue
-                single = NodeView(X, y)
-                g = penalized_gain(single, f, v, used, lam, params.criterion)
+                g = charged_gain(X, y, f, v, used, lam, params.criterion)
                 if cand_best is None or g > cand_best[0]:
                     cand_best = (g, v)
             per_task.append(cand_best)
@@ -71,12 +81,12 @@ def brute_force_maximin(views, used, lam, params):
 class TestMaximinSplit:
     def test_single_task_degenerates(self):
         # With one task the maximin score is that task's penalized gain.
-        mt = maximin_split(view([(X4, Y4)]), frozenset(), 0.3, LOOSE)
+        mt = maximin_split(*view([(X4, Y4)]), frozenset(), 0.3, LOOSE)
         assert mt is None
-        mt = maximin_split(view([(X4, Y4)]), frozenset(), 0.1, LOOSE)
+        mt = maximin_split(*view([(X4, Y4)]), frozenset(), 0.1, LOOSE)
         assert mt.feature == 0
         assert mt.thresholds == (2.5,)
-        want = penalized_gain(NodeView(X4, Y4), 0, 2.5, frozenset(), 0.1, VARIANCE)
+        want = charged_gain(X4, Y4, 0, 2.5, frozenset(), 0.1, VARIANCE)
         assert mt.gains[0] == want == mt.score
 
     def test_min_over_tasks_wins(self):
@@ -84,7 +94,7 @@ class TestMaximinSplit:
         # worst-task comparison picks f0 (0.10 > 0.05).
         task_a = two_feature_gains(0.25, 0.05)
         task_b = two_feature_gains(0.10, 0.30)
-        split = maximin_split(view([task_a, task_b]), frozenset(), 0.0, LOOSE)
+        split = maximin_split(*view([task_a, task_b]), frozenset(), 0.0, LOOSE)
         assert split.feature == 0
         assert split.raw_gains == (pytest.approx(0.25), pytest.approx(0.10))
         assert split.score == pytest.approx(0.10)
@@ -92,7 +102,7 @@ class TestMaximinSplit:
     def test_lopsided_feature_loses(self):
         task_a = two_feature_gains(10.0, 0.2)
         task_b = two_feature_gains(0.0, 0.2)
-        split = maximin_split(view([task_a, task_b]), frozenset(), 0.0, LOOSE)
+        split = maximin_split(*view([task_a, task_b]), frozenset(), 0.0, LOOSE)
         assert split.feature == 1
         assert split.score == pytest.approx(0.2)
 
@@ -104,10 +114,10 @@ class TestMaximinSplit:
             d = int(rng.integers(1, 5))
             lam = float(rng.choice([0.0, 0.1, 0.5]))
             used = set(int(f) for f in rng.choice(d, size=rng.integers(0, d), replace=False))
-            node = view([(rng.normal(size=(n, d)), rng.normal(size=n)) for _ in range(T)])
+            pairs = [(rng.normal(size=(n, d)), rng.normal(size=n)) for _ in range(T)]
             params = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
-            got = maximin_split(node, used, lam, params)
-            want = brute_force_maximin(node, used, lam, params)
+            got = maximin_split(*view(pairs), used, lam, params)
+            want = brute_force_maximin(pairs, used, lam, params)
             if want is None:
                 assert got is None
                 continue
@@ -118,20 +128,20 @@ class TestMaximinSplit:
     def test_universality_of_gain(self):
         rng = np.random.default_rng(12)
         node = view([(rng.normal(size=(12, 3)), rng.normal(size=12)) for _ in range(3)])
-        split = maximin_split(node, frozenset(), 0.0, LOOSE)
+        split = maximin_split(*node, frozenset(), 0.0, LOOSE)
         assert all(g >= split.score - 1e-12 for g in split.gains)
 
 
 class TestGrowMultitaskTree:
     def test_pure_roots_single_leaf(self):
         tree, _ = grow_multitask_tree(
-            [X4, X4], [np.full(4, 2.0), np.full(4, -1.0)], params=LOOSE
+            roots([X4, X4]), [np.full(4, 2.0), np.full(4, -1.0)], params=LOOSE
         )
         assert tree.is_stump_leaf
         assert tree.values[0] == pytest.approx([2.0, -1.0])
 
     def test_stump_example(self):
-        tree, _ = grow_multitask_tree([X4, X4], [Y4, Y4], params=LOOSE)
+        tree, _ = grow_multitask_tree(roots([X4, X4]), [Y4, Y4], params=LOOSE)
         assert tree.feature[0] == 0
         assert tree.thresholds[0] == pytest.approx([2.5, 2.5])
         for t in range(2):
@@ -143,7 +153,7 @@ class TestGrowMultitaskTree:
         small = (np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 2.0]))
         big = (X4, Y4)
         tree, _ = grow_multitask_tree(
-            [big[0], small[0]], [big[1], small[1]], params=params
+            roots([big[0], small[0]]), [big[1], small[1]], params=params
         )
         assert tree.is_stump_leaf
 
@@ -151,7 +161,7 @@ class TestGrowMultitaskTree:
         rng = np.random.default_rng(13)
         Xs = [rng.normal(size=(40, 4)) for _ in range(3)]
         ys = [X[:, 0] + rng.normal(size=40) * 0.1 for X in Xs]
-        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(roots(Xs), ys, params=TreeParams(min_samples_leaf=2))
         for i in range(tree.n_nodes):
             if not tree.is_leaf(i):
                 assert np.ndim(tree.feature[i]) == 0
@@ -165,8 +175,8 @@ class TestGrowMultitaskTree:
         y = np.sin(X[:, 1]) + 0.3 * X[:, 2] + rng.normal(size=60) * 0.1
         params = TreeParams(max_depth=3, min_samples_leaf=3, min_gain=1e-7)
         for lam in (0.0, 0.5):
-            st, _ = grow_multitask_tree([X], [y], lambda_u=lam, params=params)
-            mt, _ = grow_multitask_tree([X, X], [y, y], lambda_u=lam, params=params)
+            st, _ = grow_multitask_tree(roots([X]), [y], lambda_u=lam, params=params)
+            mt, _ = grow_multitask_tree(roots([X, X]), [y, y], lambda_u=lam, params=params)
             assert st.n_tasks == 1
             assert st.n_nodes > 1
             np.testing.assert_array_equal(mt.feature, st.feature)
@@ -182,7 +192,7 @@ class TestGrowMultitaskTree:
         rng = np.random.default_rng(15)
         Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [rng.normal(size=30) for _ in range(2)]
-        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(roots(Xs), ys, params=TreeParams(min_samples_leaf=2))
         for t in range(2):
             pred = tree.predict(t, Xs[t])
             # Residual sums vanish within each leaf when values are means.
@@ -194,7 +204,7 @@ class TestSerialization:
         rng = np.random.default_rng(16)
         Xs = [rng.normal(size=(30, 3)) for _ in range(2)]
         ys = [rng.normal(size=30) for _ in range(2)]
-        tree, _ = grow_multitask_tree(Xs, ys, params=TreeParams(min_samples_leaf=2))
+        tree, _ = grow_multitask_tree(roots(Xs), ys, params=TreeParams(min_samples_leaf=2))
         clone = MultitaskTree.from_dict(tree.to_dict(), 3, 2)
         np.testing.assert_array_equal(clone.feature, tree.feature)
         np.testing.assert_array_equal(clone.thresholds, tree.thresholds)

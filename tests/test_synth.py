@@ -89,8 +89,9 @@ class TestSpecValidation:
             base_spec(output_sign=[1])
 
     def test_noise_rho_nonlinearity(self):
-        with pytest.raises(DataError, match="noise_sigma"):
-            base_spec(noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DataError, match="noise_sigma"):
+                base_spec(noise_sigma=sigma)
         with pytest.raises(DataError, match="correlation_rho"):
             base_spec(correlation_rho=1.0)
         with pytest.raises(DataError, match="nonlinearity"):

@@ -10,12 +10,10 @@ from bouts.multitask import MultitaskTree, grow_multitask_tree, maximin_split
 from bouts.trees import (
     FRIEDMAN,
     VARIANCE,
-    NodeView,
     TreeParams,
-    penalized_gain,
     raw_gain,
     scan_columns,
-    sort_root,
+    sort_rows,
 )
 
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -23,18 +21,19 @@ Y4 = np.array([0.0, 0.0, 1.0, 1.0])
 LOOSE = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
 
 
-def node(X, y):
-    return NodeView(np.asarray(X, dtype=float), np.asarray(y, dtype=float))
+def prepared(X):
+    """The (n, d) matrix ``X`` prepared as a node."""
+    return sort_rows(np.ascontiguousarray(np.asarray(X, dtype=float).T))
 
 
 def best_split(X, y, used, lam, params):
     """The split search on a one-task node."""
-    return maximin_split([node(X, y)], used, lam, params)
+    return maximin_split([prepared(X)], [np.asarray(y, dtype=float)], used, lam, params)
 
 
 def grow(X, y, lam=0.0, params=None):
     """A T=1 tree grown on one task."""
-    tree, _ = grow_multitask_tree([np.asarray(X, dtype=float)], [np.asarray(y, dtype=float)],
+    tree, _ = grow_multitask_tree([prepared(X)], [np.asarray(y, dtype=float)],
                                   lambda_u=lam, params=params)
     return tree
 
@@ -60,17 +59,17 @@ class TestTreeParams:
 
 class TestRawGain:
     def test_variance_example(self):
-        assert raw_gain(node(X4, Y4), 0, 2.0, VARIANCE) == pytest.approx(0.25)
+        assert raw_gain(X4[:, 0], Y4, 2.0, VARIANCE) == pytest.approx(0.25)
 
     def test_friedman_example(self):
-        assert raw_gain(node(X4, Y4), 0, 2.0, FRIEDMAN) == pytest.approx(1.0)
+        assert raw_gain(X4[:, 0], Y4, 2.0, FRIEDMAN) == pytest.approx(1.0)
 
     def test_pure_node_zero_gain(self):
-        assert raw_gain(node(X4, [1.0] * 4), 0, 2.0, VARIANCE) == pytest.approx(0.0)
+        assert raw_gain(X4[:, 0], np.ones(4), 2.0, VARIANCE) == pytest.approx(0.0)
 
     def test_empty_child_rejected(self):
         with pytest.raises(ValueError):
-            raw_gain(node(X4, Y4), 0, 9.0, VARIANCE)
+            raw_gain(X4[:, 0], Y4, 9.0, VARIANCE)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -83,29 +82,7 @@ class TestRawGain:
         left = (X[:, 0] <= v).sum()
         if left == 0 or left == n:
             return
-        assert raw_gain(node(X, y), 0, v, VARIANCE) >= -1e-12
-
-
-class TestPenalizedGain:
-    def test_new_feature_charged(self):
-        got = penalized_gain(node(X4, Y4), 0, 2.0, frozenset(), 0.3, VARIANCE)
-        assert got == pytest.approx(-0.05)
-
-    def test_reused_feature_free(self):
-        got = penalized_gain(node(X4, Y4), 0, 2.0, {0}, 0.3, VARIANCE)
-        assert got == pytest.approx(0.25)
-
-    def test_zero_lambda_reduces_to_raw(self):
-        assert penalized_gain(node(X4, Y4), 0, 2.0, frozenset(), 0.0, VARIANCE) == raw_gain(
-            node(X4, Y4), 0, 2.0, VARIANCE
-        )
-
-    @given(st.floats(0.01, 5.0), st.floats(0.01, 5.0))
-    @settings(max_examples=40, deadline=None)
-    def test_strictly_decreasing_in_lambda(self, lam_a, delta):
-        g_a = penalized_gain(node(X4, Y4), 0, 2.0, frozenset(), lam_a, VARIANCE)
-        g_b = penalized_gain(node(X4, Y4), 0, 2.0, frozenset(), lam_a + delta, VARIANCE)
-        assert g_b < g_a
+        assert raw_gain(X[:, 0], y, v, VARIANCE) >= -1e-12
 
 
 class TestBestSplitSingle:
@@ -136,14 +113,14 @@ class TestBestSplitSingle:
 class TestSplitPreparation:
     def test_tie_free_task_masks_nothing(self):
         X = np.random.default_rng(8).normal(size=(20, 3))
-        distinct = sort_root(X).distinct
+        distinct = prepared(X).distinct
         assert distinct.shape == (3, 19)
         assert distinct.all()
 
     def test_one_repeated_value_masks_one_boundary(self):
         X = np.random.default_rng(9).normal(size=(20, 3))
         X[5, 1] = X[2, 1]
-        distinct = sort_root(X).distinct
+        distinct = prepared(X).distinct
         assert distinct.shape == (3, 19)
         assert np.count_nonzero(~distinct) == 1
         assert not distinct[1].all()
@@ -151,7 +128,8 @@ class TestSplitPreparation:
     @pytest.mark.parametrize("criterion", [VARIANCE, FRIEDMAN])
     def test_scan_of_no_features(self, criterion):
         y = np.arange(10.0)
-        assert scan_columns(np.empty((0, 10)), y, 2, criterion).shape == (0, 7)
+        node = sort_rows(np.empty((0, 10)))
+        assert scan_columns(node.order, node.distinct, y, 2, criterion).shape == (0, 7)
 
 
 class TestGrowTree:
