@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .data import MultitaskDataset, SplitAssignment, json_numbers
+from .data import MultitaskDataset, SplitAssignment, _first_duplicate, json_numbers
 from .errors import DataError
 from .multitask import MultitaskTree, grow_multitask_tree
 from .trees import TreeParams, sort_rows
@@ -197,13 +197,17 @@ class BoutsModel:
     def from_dict(cls, d: dict) -> "BoutsModel":
         """Decode a saved model.
 
-        Raises DataError when the parts disagree on the number of tasks, an
-        ``f0`` entry is not finite or a tree is malformed (see ``MultitaskTree.from_dict``); a missing key
+        Raises DataError when a feature or task name repeats, the parts
+        disagree on the number of tasks, an ``f0`` entry is not finite or a
+        tree is malformed (see ``MultitaskTree.from_dict``); a missing key
         raises KeyError and a mistyped value TypeError or ValueError.
         """
         names, trees = (d["feature_names"], d["task_names"]), (d["universal_trees"], d["task_trees"])
         if not all(type(n) is list and {*map(type, n)} <= {str} for n in names):
             raise DataError("feature_names and task_names must be lists of strings")
+        for what, values in zip(("feature", "task"), names):
+            if len(set(values)) != len(values):
+                raise DataError(f"repeated {what} name {_first_duplicate(values)!r}")
         if not all(type(ts) is list for ts in (*trees, *trees[1])):
             raise DataError("universal_trees and task_trees must be lists")
         T, n_features = len(d["task_names"]), len(d["feature_names"])

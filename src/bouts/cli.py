@@ -8,7 +8,6 @@ is a usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -33,6 +32,7 @@ from .data import (
     load_manifest,
     load_task_csv,
     overlap_split,
+    read_json,
     standardize_dataset,
     Standardizer,
     write_csv,
@@ -137,11 +137,7 @@ def _settings(args: argparse.Namespace) -> dict:
     table = {opt.key: opt for opt in args.options}
     settings: dict = {}
     if "config" in args:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
-            raise DataError(f"cannot read config file {args.config}: {e}") from None
+        cfg = read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
         for key, value in cfg.items():
@@ -345,9 +341,8 @@ def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
 
     Any defect in the file is a data error that names it.
     """
+    bundle = read_json(path, "model file")
     try:
-        with open(path) as fh:
-            bundle = json.load(fh)
         saved = {**bundle["model"]["config"], **bundle["model"]["config"]["tree"]}
         for opt in (opt for opt in BOOST + PENALTY if opt.key != "lam"):
             _from_json(saved[opt.key], opt, "config")  # as a --config file must give it

@@ -9,12 +9,20 @@ is the one reported.  ``inf``/``infinity`` parse, and are then rejected as
 infinite once the whole file is read.  NaN targets and duplicate feature
 headers are rejected too.
 
+Two readers give the same names, ids and array bytes.  A plain file (a
+regular file with no quote, NUL or bare CR, no blank cell, ``_`` separator
+or non-ASCII digit, and nothing to reject) is parsed in one C pass by
+``np.loadtxt``, which converts a cell with the same C function as
+``float()``.  Every other file is read row by row by the csv module, and
+that reader writes every error message.
+
 The train/validation/test split stratifies by membership signature: sample
 ids are grouped by the exact subset of tasks containing them, each group is
 shuffled and allocated to the three partitions by largest-remainder rounding,
 and an id shared across tasks lands in the same partition everywhere.
 
-``write_csv`` and ``write_json`` are the only encoders of written artifacts.
+``write_csv`` and ``write_json`` are the only encoders of written artifacts, and
+``read_json`` the only JSON decoder.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import csv
 import json
 import math
 import os
+import stat
+import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -114,8 +124,77 @@ def _parse_cell(raw: str, path: str, row: int, col: int) -> float:
 
 def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
     """Read one UTF-8 task CSV (id, features..., target) without any pruning."""
-    if name is None:
-        name = str(path)
+    feature_names, ids, X, y = _read_plain(path) or _read_rows(path)
+    name = str(path) if name is None else name
+    return TaskDataset(name=name, feature_names=feature_names, X=X, y=y, sample_ids=ids)
+
+
+def _read_plain(path: str) -> Optional[tuple[list[str], list[str], np.ndarray, np.ndarray]]:
+    """``_read_rows(path)`` for a plain file, parsed in one C pass; None for any other file.
+
+    A plain file is a regular file that ``_plain_bytes`` passes, with a valid
+    header and at least one data row, whose every numeric cell numpy's parser
+    reads (the ``float()`` of each cell, less blank cells, ``_`` separators and
+    non-ASCII digits), with no NaN target, infinite value or repeated id.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode) or not _plain_bytes(path):
+            return None  # a pipe is read once, by the row reader
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+    except (OSError, UnicodeDecodeError):
+        return None
+    feature_names = [h.strip() for h in header[1:-1]]
+    if len(header) < 3 or len(set(feature_names)) != len(feature_names):
+        return None
+    ids: list[str] = []
+
+    def take_id(cell: str) -> float:
+        ids.append(cell.strip())
+        return 0.0
+
+    try:
+        with warnings.catch_warnings():  # a file without data rows is declined below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, converters={0: take_id},
+                encoding="utf-8", ndmin=2,
+            )
+    except ValueError:  # a cell numpy does not read, a ragged row, or bad UTF-8
+        return None
+    if table.shape != (len(ids), len(header)) or not ids or len(set(ids)) != len(ids):
+        return None
+    X, y = table[:, 1:-1].copy(), table[:, -1].copy()
+    if np.isinf(X).any() or not np.isfinite(y).all():
+        return None
+    return feature_names, ids, X, y
+
+
+def _plain_bytes(path: str) -> bool:
+    """Whether no line holds a quote, a NUL or a bare CR, or is longer than a csv field may be.
+
+    The csv module of Python 3.10 rejects a NUL; numpy's parser reads it.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        start = 0  # where the current line begins, relative to the chunk
+        while chunk := fh.read(1 << 20):
+            if chunk.endswith(b"\r"):  # keep a CRLF in one chunk
+                chunk += fh.read(1)
+            if b'"' in chunk or b"\0" in chunk:
+                return False
+            if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+                return False
+            while (end := chunk.rfind(b"\n", max(start, 0), start + limit + 1)) >= 0:
+                start = end + 1  # the line ending at `end` is at most `limit` bytes
+            if start + limit < len(chunk):
+                return False
+            start -= len(chunk)
+    return True
+
+
+def _read_rows(path: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Read a task CSV record by record; every error message of the loader comes from here."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:  # the file is decoded and parsed lazily, row by row
@@ -142,10 +221,15 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
                     cells = ["nan" if c == "" else c for c in cells]
                 try:  # float() on every cell, in C
                     values = np.array(cells, dtype=np.float64)
-                except ValueError:  # a blank cell, or a bad one to name
-                    values = np.array(
-                        [_parse_cell(c, path, r, j) for j, c in enumerate(record[1:], start=2)]
-                    )
+                except ValueError:
+                    try:  # a whitespace-only cell is missing too
+                        values = np.array(
+                            ["nan" if not c.strip() else c for c in cells], dtype=np.float64
+                        )
+                    except ValueError:  # a bad cell to name
+                        values = np.array(
+                            [_parse_cell(c, path, r, j) for j, c in enumerate(record[1:], start=2)]
+                        )
                 if math.isnan(values[-1]):
                     raise DataError(f"{path}: row {r}: target value is NaN")
                 ids.append(record[0].strip())
@@ -170,7 +254,7 @@ def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
         j = int(np.flatnonzero(np.isinf(np.append(X[i], y[i])))[0])
         column = (feature_names + [header[-1].strip()])[j]
         raise DataError(f"{path}: row {line_numbers[i]}, column {column!r}: infinite value")
-    return TaskDataset(name=name, feature_names=feature_names, X=X, y=y, sample_ids=ids)
+    return feature_names, ids, X, y
 
 
 def prune_features(task: TaskDataset) -> TaskDataset:
@@ -362,11 +446,7 @@ def load_manifest(path: str) -> MultitaskDataset:
     name must be usable in a file name and not be one of
     ``RESERVED_TASK_NAMES``.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise DataError(f"{path}: invalid JSON manifest: {e}") from None
+    manifest = read_json(path, "manifest")
     entries = manifest.get("tasks") if isinstance(manifest, dict) else None
     if not isinstance(entries, dict) or not entries:
         raise DataError(f"{path}: manifest must map task names to CSV paths under 'tasks'")
@@ -400,6 +480,15 @@ def write_csv(path: str, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_json(path: str, what: str):
+    """Decode the UTF-8 JSON file ``path``; a DataError naming it, as ``what``, if it is not one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise DataError(f"cannot read {what} {path}: invalid JSON: {e}") from None
 
 
 def write_json(path: str, obj) -> None:

@@ -680,6 +680,33 @@ class TestExitCodes:
         assert code == cli.EXIT_DATA
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000, b"{not json", b'{"tasks": "\xff"}'],
+        ids=["deeply nested", "not JSON", "not UTF-8"],
+    )
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("predict", "--model"), ("fit", "--manifest"), ("fit", "--config"),
+         ("stability", "--manifest")],
+    )
+    def test_unreadable_json_exits_data_naming_the_file(
+        self, synth_dir, tmp_path, capsys, command, flag, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        args = {
+            "--manifest": os.path.join(synth_dir, "manifest.json"),
+            "--out": str(tmp_path / "out"),
+        }
+        if command == "predict":
+            args = {"--data": os.path.join(synth_dir, "task0.csv"), "--out": str(tmp_path / "p.csv")}
+        args[flag] = str(bad)
+        code = run(command, *(word for pair in args.items() for word in pair))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and str(bad) in err, err
+
     def test_bad_learning_rate_exits_usage(self, synth_dir, tmp_path, capsys):
         code = run(
             "fit", "--manifest", os.path.join(synth_dir, "manifest.json"),
@@ -1173,7 +1200,12 @@ def _locations(obj, path=()):
 def _edit_bundle(bundle: dict, draw) -> None:
     """Apply one drawn edit to ``bundle`` in place."""
     where = list(_locations(bundle))
-    kind = draw(st.sampled_from(["delete", "replace", "repoint", "cut"]))
+    kind = draw(st.sampled_from(["delete", "replace", "repoint", "cut", "duplicate"]))
+    if kind == "duplicate":  # one name takes another's place
+        names = bundle["model"][draw(st.sampled_from(["feature_names", "task_names"]))]
+        i, j = draw(st.permutations(range(len(names))))[:2]
+        names[j] = names[i]
+        return
     if kind == "delete":
         where = [p for p in where if isinstance(p[-1], str)]
     elif kind == "repoint":

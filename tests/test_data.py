@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import tempfile
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from bouts.data import (
     TaskDataset,
     _first_duplicate,
     _largest_remainder,
+    _read_plain,
     build_category,
     fit_standardizer,
     load_manifest,
@@ -242,6 +246,89 @@ class TestCellParsing:
         message = outcome(per_cell_load, str(p))
         assert "row 3, column 2: cannot parse 'abc'" in message
         assert outcome(load_task_csv, str(p)) == message
+
+
+# Cells the one-pass parse reads: float()'s numbers less "_" separators, non-ASCII
+# digits and infinities; NaN cells are kept, blank cells are not.
+PLAIN_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(
+        ["1e5", "-2.5E-3", "-1e-400", " 1.5", "2 ", "\xa04\u2003", "\x1c5", "\t3\x0c"]
+    ),
+)
+PLAIN_MISSING = st.sampled_from(["nan", "NaN", " nan ", "-nan", "+NaN"])
+
+
+# One file for each kind of file the one-pass parse leaves to the row reader.
+DECLINED = {
+    "quoted id": b'id,f1,target\n"s1",1.0,2.0\n',
+    "quoted cell": b'id,f1,target\ns1,"1.0",2.0\n',
+    "quoted header": b'id,"f1",target\ns1,1.0,2.0\n',
+    "empty cell": b"id,f1,f2,target\ns1,,1.0,2.0\n",
+    "whitespace-only cell": b"id,f1,f2,target\ns1,1.0,  ,2.0\n",
+    "more cells": b"id,f1,target\ns1,1.0,2.0,3.0\n",
+    "more cells in every row": b"id,f1,target\ns1,1.0,2.0,3.0\ns2,1.0,2.0,3.0\n",
+    "fewer cells": b"id,f1,target\ns1,1.0\n",
+    "bare CR": b"id,f1,target\rs1,1.0,2.0\rs2,3.0,4.0\r",
+    "_ separator": b"id,f1,target\ns1,1_000,2.0\n",
+    "non-ASCII digits": "id,f1,target\ns1,\u0663.\u0665,2.0\n".encode(),
+    "NaN target": b"id,f1,target\ns1,1.0,nan\n",
+    "infinite value": b"id,f1,target\ns1,1.0,2.0\ns2,-inf,2.0\n",
+    "repeated id": b"id,f1,target\ns1,1.0,2.0\ns1,3.0,4.0\n",
+    "no data rows": b"id,f1,target\n",
+    "bad UTF-8": b"id,f1,target\ns1,1.0,\xff\n",
+    "NUL": b"id,f1,target\ns\x001,1.0,2.0\n",
+    "field over the csv limit": b"id,f1,target\ns1," + b" " * csv.field_size_limit() + b"1.0,2.0\n",
+    "empty file": b"",
+}
+
+
+class TestOnePassParse:
+    """The files load_task_csv parses in one pass, and the files it leaves to the row reader."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_files_skip_the_row_reader(self, data):
+        n_features = data.draw(st.integers(1, 4), label="features")
+        n_rows = data.draw(st.integers(1, 6), label="rows")
+        features = st.lists(
+            st.one_of(PLAIN_NUMBERS, PLAIN_MISSING), min_size=n_features, max_size=n_features
+        )
+        rows = [["id", *(f" f{j}" for j in range(n_features)), "target"]]
+        rows += [[f" s{i}", *data.draw(features), data.draw(PLAIN_NUMBERS)] for i in range(n_rows)]
+        line_end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+        text = csv_text(rows, [[False] * len(r) for r in rows]).replace("\n", line_end)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            expected = outcome(per_cell_load, path)
+            with mock.patch("bouts.data._read_rows", side_effect=AssertionError("row reader ran")):
+                assert outcome(load_task_csv, path) == expected
+
+    @pytest.mark.parametrize("content", DECLINED.values(), ids=DECLINED.keys())
+    def test_declined_files_read_as_the_row_reader_reads_them(self, tmp_path, content):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        assert _read_plain(str(path)) is None
+        assert outcome(load_task_csv, str(path)) == outcome(per_cell_load, str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_once_by_the_row_reader(self, tmp_path):
+        fifo = str(tmp_path / "t.csv")
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as fh:
+                fh.write("id,f1,target\ns1,1.0,2.0\n")
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        task = load_task_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (task.sample_ids, task.X.tolist(), task.y.tolist()) == (["s1"], [[1.0]], [2.0])
 
 
 class TestPruneFeatures:
