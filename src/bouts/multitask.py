@@ -16,9 +16,9 @@ in flat arrays, which ``MultitaskTree.of_nodes`` builds from one record per
 node for the grower and the decoder alike, and owns the two on-disk node
 layouts: per-task lists for universal trees and scalars for T=1 stage-2 trees.
 The grower takes each task's prepared root, prepares every node below it once
-from its gather of the root's rows, routes the node's rows on those, and
-returns the leaf each training row reached, so boosting never routes its own
-training rows.
+with ``SortedRows.subset`` (an integer sort of the root's ranks of the node's
+rows), routes the node's rows on those, and returns the leaf each training row
+reached, so boosting never routes its own training rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import json_numbers
 from .errors import DataError, NumericalError
-from .trees import TIE_MARGIN, SortedRows, TreeParams, raw_gain, scan_columns, sort_rows
+from .trees import TIE_MARGIN, SortedRows, TreeParams, raw_gain, scan_columns
 
 
 @dataclass(frozen=True)
@@ -300,11 +300,11 @@ def grow_multitask_tree(
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
             # The root reads every row and is prepared; any other node is
-            # prepared once from its gather of the root's rows.
+            # prepared once from the root's ranks of its rows.
             if depth == 0:
                 nodes, node_ys = roots, ys
             else:
-                nodes = [sort_rows(root.XT[:, idx]) for root, idx in zip(roots, idxs)]
+                nodes = [root.subset(idx) for root, idx in zip(roots, idxs)]
                 node_ys = [y[idx] for y, idx in zip(ys, idxs)]
             split = maximin_split(nodes, node_ys, used_now, lambda_u, params)
         if split is None:

@@ -6,24 +6,28 @@ is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
 
-A node's rows are prepared once, by ``sort_rows``, into ``SortedRows``: the
-feature-major (d, n) rows, each feature's sort order and which sorted
-neighbours differ.  Boosting prepares each task's root once per run, since the
-root sees the same rows in every round; the grower prepares every other node
-from its gather of the root's rows.  ``scan_columns`` is the one enumeration
-of candidate splits: it scores every boundary of every feature of a prepared
-node at once with prefix sums, both criteria as one expression,
-(s_left - n_left * mean)^2 times a weight per boundary.  ``SortedRows.threshold``
-maps a scan column back to its midpoint.  The scan's arithmetic cannot be
-trusted to order near-ties, so the split search re-scores the candidates within
-``TIE_MARGIN`` of a feature's best with ``raw_gain``, the definition.  The only
-tree built on these scores, and the only split search, live in ``multitask``
-(a single-task tree is its T=1 case).
+A node's rows are prepared once into ``SortedRows``: the feature-major (d, n)
+rows, each feature's sort order by (value, row) and which sorted neighbours
+differ.  Boosting prepares each task's root once per run with ``sort_rows``,
+since the root sees the same rows in every round.  That is the one float sort;
+it also keeps each feature's dense ranks (equal values share a rank).  The
+grower prepares every other node with ``SortedRows.subset``: one integer sort
+of the node's gathered ranks, each packed with its row's position in the node
+into one key.  ``scan_columns`` is the one enumeration of candidate splits:
+it scores every boundary of every feature of a prepared node at once with
+prefix sums, both criteria as one expression, (s_left - n_left * mean)^2 times
+a weight per boundary.  ``SortedRows.threshold`` maps a scan column back to its
+midpoint.  The scan's arithmetic cannot be trusted to order near-ties, so the
+split search re-scores the candidates within ``TIE_MARGIN`` of a feature's best
+with ``raw_gain``, the definition.  The only tree built on these scores, and
+the only split search, live in ``multitask`` (a single-task tree is its T=1
+case).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -87,8 +91,11 @@ class SortedRows:
     """One node's rows, feature-major, with each feature's sort order."""
 
     XT: np.ndarray  # (d, n) one row per feature
-    order: np.ndarray  # (d, n) argsort of each row of XT
+    order: np.ndarray  # (d, n) each row of XT's columns by (value, column)
     distinct: np.ndarray  # (d, n - 1) whether sorted value j + 1 exceeds value j
+    # (d, n) each value's dense rank in its row (equal values share one); kept
+    # by ``sort_rows`` only, for ``subset``
+    ranks: Optional[np.ndarray] = None
 
     def threshold(self, f: int, j: int, min_samples_leaf: int) -> float:
         """The threshold of ``scan_columns``' column ``j`` for feature ``f``: the
@@ -97,16 +104,46 @@ class SortedRows:
         lo, hi = self.XT[f, self.order[f, k - 1 : k + 1]]
         return float(0.5 * (lo + hi))
 
+    def subset(self, idx: np.ndarray) -> "SortedRows":
+        """The ``SortedRows`` of columns ``idx`` of ``XT``, equal to
+        ``sort_rows(XT[:, idx])`` but sorted by the ranks, not the values.
+
+        It keeps no ranks: the grower subsets only the root."""
+        # take, not XT[:, idx], which is Fortran-ordered
+        return _packed(self.XT.take(idx, axis=1), self.ranks.take(idx, axis=1))
+
+
+def _packed(XT: np.ndarray, ranks: np.ndarray) -> SortedRows:
+    """Sort each row of ``XT`` by the packed integer key ``rank << s | column``.
+
+    One ``sort`` of the keys orders every row by (value, column): the column is
+    in the low ``s`` bits and equal values share their rank in the high bits,
+    so a run of equal values keeps its column order at every node.  Ranks and
+    columns are below the root's column count, so ``sort_rows`` picks int32
+    ranks (s = 15) up to 2**15 root columns and int64 (s = 31) above.
+    """
+    s = 4 * ranks.itemsize - 1
+    key = ranks << s
+    key |= np.arange(XT.shape[1], dtype=key.dtype)
+    key.sort(axis=1)
+    order = np.bitwise_and(key, (1 << s) - 1, dtype=np.intp)  # intp: y[order] needs no cast
+    key >>= s
+    return SortedRows(XT, order, key[:, 1:] != key[:, :-1])
+
 
 def sort_rows(XT: np.ndarray) -> SortedRows:
-    """The ``SortedRows`` of the feature-major (d, n) matrix ``XT``."""
-    # Default introsort: ties among equal x values only permute rows inside
-    # a run of duplicates, and boundaries inside such runs are never valid
-    # candidates, so candidate sums differ by at most rounding noise, which
-    # the tie margin absorbs.
-    order = np.argsort(XT, axis=1)
-    xs = np.take(XT, order + np.arange(0, XT.size, XT.shape[1])[:, None])
-    return SortedRows(XT, order, xs[:, 1:] > xs[:, :-1])
+    """The ``SortedRows`` of the feature-major (d, n) matrix ``XT``, keeping
+    its ``ranks`` so that ``subset`` prepares any node below it."""
+    d, n = XT.shape
+    # The one float sort: the introsort's order within a run of equal values
+    # does not matter, since the dense ranks it gives are the same.
+    by_value = np.argsort(XT, axis=1)
+    xs = np.take_along_axis(XT, by_value, axis=1)
+    dense = np.zeros((d, n), dtype=np.int32 if n <= 1 << 15 else np.int64)
+    np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, by_value, dense, axis=1)
+    return replace(_packed(XT, ranks), ranks=ranks)
 
 
 def scan_columns(

@@ -297,7 +297,21 @@ def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return rng.normal(size=(n, d))
 
 
-@pytest.mark.parametrize("columns", [random_columns, continuous_columns])
+def level_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """Feature matrix whose every column takes 2 to 63 levels, counts or
+    arbitrary values, so most boundaries fall inside runs of equal values."""
+    X = np.empty((n, d))
+    for j in range(d):
+        k = int(rng.integers(2, 64))
+        codes = rng.integers(0, k, size=n)
+        X[:, j] = codes if rng.random() < 0.5 else rng.normal(size=k)[codes]
+    return X
+
+
+COLUMN_KINDS = [random_columns, continuous_columns, level_columns]
+
+
+@pytest.mark.parametrize("columns", COLUMN_KINDS)
 def test_scan_matches_the_definition(columns):
     """Every finite scan gain is ``raw_gain`` at that boundary's midpoint, which
     is the node's threshold for that column, for both criteria, and the scan
@@ -360,10 +374,11 @@ def reference_tree(Xs, ys, used, lam, params):
     return MultitaskTree.of_nodes(records), leaf_of_row
 
 
-@pytest.mark.parametrize("columns", [random_columns, continuous_columns])
+@pytest.mark.parametrize("columns", COLUMN_KINDS)
 def test_grower_matches_the_reference_tree(columns):
     """The grower, which prepares each node below the root from its gather of
-    the root's rows, grows bit for bit the tree of ``reference_tree``."""
+    the root's ranks (``SortedRows.subset``), grows bit for bit the tree of
+    ``reference_tree``."""
     rng = np.random.default_rng(5)
     n_internal = 0
     for _ in range(150):

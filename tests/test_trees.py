@@ -132,6 +132,53 @@ class TestSplitPreparation:
         assert scan_columns(node.order, node.distinct, y, 2, criterion).shape == (0, 7)
 
 
+@st.composite
+def rows_and_subset(draw):
+    """A feature-major (d, n) matrix whose rows are tie-free or take 2 to 63
+    levels, and an ascending subset of its columns."""
+    n = draw(st.integers(1, 60))
+    levels = draw(st.lists(st.sampled_from([None, *range(2, 64)]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    XT = np.array([rng.normal(size=n) if k is None else rng.normal(size=k)[rng.integers(0, k, size=n)]
+                   for k in levels])
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return XT, np.flatnonzero(keep)
+
+
+class TestSubset:
+    @given(rows_and_subset())
+    @settings(max_examples=200, deadline=None)
+    def test_subset_is_the_gathered_node(self, case):
+        XT, idx = case
+        got, want = sort_rows(XT).subset(idx), sort_rows(XT[:, idx])
+        np.testing.assert_array_equal(got.XT, want.XT)
+        np.testing.assert_array_equal(got.order, want.order)
+        np.testing.assert_array_equal(got.distinct, want.distinct)
+        np.testing.assert_array_equal(got.order, np.argsort(XT[:, idx], axis=1, kind="stable"))
+        for f, j in np.ndindex(XT.shape[0], max(idx.size - 1, 0)):
+            assert got.threshold(f, j, 1) == want.threshold(f, j, 1)
+
+    def test_node_arrays_are_c_contiguous_and_keep_no_ranks(self):
+        XT = np.random.default_rng(3).normal(size=(4, 30))
+        root = sort_rows(XT)
+        node = root.subset(np.arange(0, 30, 3))
+        assert root.ranks.dtype == np.int32 and node.ranks is None
+        assert node.order.dtype == np.intp
+        for a in (node.XT, node.order, node.distinct):
+            assert a.flags.c_contiguous
+
+    def test_wide_keys_past_two_to_the_fifteen_rows(self):
+        rng = np.random.default_rng(11)
+        XT = rng.integers(0, 7, size=(2, 40_000)).astype(float)
+        root = sort_rows(XT)
+        assert root.ranks.dtype == np.int64
+        np.testing.assert_array_equal(root.order, np.argsort(XT, axis=1, kind="stable"))
+        idx = np.flatnonzero(rng.random(40_000) < 0.5)
+        node = root.subset(idx)
+        np.testing.assert_array_equal(node.order, np.argsort(XT[:, idx], axis=1, kind="stable"))
+        np.testing.assert_array_equal(node.distinct, sort_rows(XT[:, idx]).distinct)
+
+
 class TestGrowTree:
     def test_pure_targets_single_leaf(self):
         tree = grow(X4, np.full(4, 7.0), params=LOOSE)
