@@ -98,6 +98,8 @@ def _boost(
     producing a single leaf with every value ~0 is skipped; since nothing
     changed, every later round would repeat it, so the loop exits.
     """
+    if rounds <= 0:  # a stage switched off prepares nothing
+        return [], []
     # X is the same in every round: prepare each task's root once.
     roots = [sort_rows(np.ascontiguousarray(X.T, dtype=np.float64)) for X in Xs]
     trees: list[MultitaskTree] = []

@@ -315,6 +315,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
             list(range(base + t * args.n_specific, base + (t + 1) * args.n_specific))
             for t in range(tasks)
         ]
+    planted = {*universal, *(f for part in task_specific for f in part)}
+    outside = sorted(f for f in planted if not 0 <= f < args.features)
+    n_planted = len(set(universal)) + sum(map(len, task_specific))  # as SynthSpec counts them
+    if outside or n_planted >= args.features:  # the flags' fault, so a usage error
+        flags = " and ".join((
+            "--universal" if args.universal is not None else f"--n-universal {args.n_universal}",
+            "--specific" if args.specific is not None else f"--n-specific {args.n_specific}",
+        ))
+        if outside:
+            what = f"planted feature indices {outside} of {flags} outside [0, {args.features})"
+        else:
+            what = f"no nuisance feature beside the {n_planted} planted ones of {flags}"
+        raise ValueError(f"--features {args.features} leaves {what}")
     signs = _parse_int_list(args.signs) if args.signs else None
     samples: Sequence[int] | int = (
         _parse_int_list(args.samples) if "," in args.samples else int(args.samples)
@@ -378,14 +391,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     t = model.task_names.index(task_name)
     standardizer = standardizers[t]
 
-    task = load_task_csv(args.data, task_name)
+    # Only the columns task t's trees split on are parsed; the model's others read as NaN.
+    used = sorted(model.universal_feature_indices | model.task_feature_indices(t))
+    task = load_task_csv(args.data, task_name, {model.feature_names[j] for j in used})
     pos = {f: i for i, f in enumerate(task.feature_names)}
     missing = [f for f in model.feature_names if f not in pos]
     if missing:
         raise DataError(f"{args.data}: lacks feature column {missing[0]!r} of {args.model}")
     X = task.X[:, [pos[f] for f in model.feature_names]]
     # A column the model never splits on may hold missing cells; the others may not.
-    used = sorted(model.universal_feature_indices | model.task_feature_indices(t))
     rows, cols = np.nonzero(np.isnan(X[:, used]))
     if len(rows):
         sid, column = task.sample_ids[rows[0]], model.feature_names[used[cols[0]]]

@@ -11,10 +11,19 @@ headers are rejected too.
 
 Two readers give the same names, ids and array bytes.  A plain file (a
 regular file with no quote, NUL or bare CR, no blank cell, ``_`` separator
-or non-ASCII digit, and nothing to reject) is parsed in one C pass by
-``np.loadtxt``, which converts a cell with the same C function as
-``float()``.  Every other file is read row by row by the csv module, and
+or non-ASCII digit in a parsed column, and nothing to reject) is parsed in
+one C pass by ``np.loadtxt``, which converts a cell with the same C
+function as ``float()``.  Every other file is read row by row by the csv module, and
 that reader writes every error message.
+
+A read may name the feature columns to parse; ``bouts predict`` names the
+ones its trees split on for the task.  It still checks the header, each
+row's cell count and the ids, and rejects NaN targets and infinities in the
+columns it parses.  Every other feature column is never converted and reads
+as NaN, so a cell there that is not a number stops nothing.  The one-pass
+parse takes such a read only when the file holds as many commas as its rows
+would at the header's width: numpy rejects a short row, but not a long one
+when it converts only some columns.
 
 The train/validation/test split stratifies by membership signature: sample
 ids are grouped by the exact subset of tasks containing them, each group is
@@ -34,7 +43,7 @@ import os
 import stat
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -122,24 +131,56 @@ def _parse_cell(raw: str, path: str, row: int, col: int) -> float:
         ) from None
 
 
-def load_task_csv(path: str, name: Optional[str] = None) -> TaskDataset:
-    """Read one UTF-8 task CSV (id, features..., target) without any pruning."""
-    feature_names, ids, X, y = _read_plain(path) or _read_rows(path)
+def load_task_csv(
+    path: str, name: Optional[str] = None, features: Optional[Collection[str]] = None
+) -> TaskDataset:
+    """Read one UTF-8 task CSV (id, features..., target) without any pruning.
+
+    ``features``, if given, names the feature columns to parse.  Every other
+    feature column is still counted in each row but never converted, and
+    reads as NaN.
+    """
+    feature_names, ids, X, y = _read_plain(path, features) or _read_rows(path, features)
     name = str(path) if name is None else name
     return TaskDataset(name=name, feature_names=feature_names, X=X, y=y, sample_ids=ids)
 
 
-def _read_plain(path: str) -> Optional[tuple[list[str], list[str], np.ndarray, np.ndarray]]:
-    """``_read_rows(path)`` for a plain file, parsed in one C pass; None for any other file.
+def _selected(
+    feature_names: list[str], features: Optional[Collection[str]]
+) -> Optional[list[int]]:
+    """The positions of ``features`` among ``feature_names``; None when every feature is read."""
+    if features is None:
+        return None
+    return [j for j, f in enumerate(feature_names) if f in features]
 
-    A plain file is a regular file that ``_plain_bytes`` passes, with a valid
-    header and at least one data row, whose every numeric cell numpy's parser
+
+def _spread(values: np.ndarray, keep: Optional[list[int]], d: int) -> np.ndarray:
+    """The (n, d) feature matrix whose columns ``keep`` are ``values`` and the rest NaN."""
+    if keep is None:
+        return values.copy()
+    X = np.full((len(values), d), np.nan)
+    X[:, keep] = values
+    return X
+
+
+def _read_plain(
+    path: str, features: Optional[Collection[str]] = None
+) -> Optional[tuple[list[str], list[str], np.ndarray, np.ndarray]]:
+    """``_read_rows(path, features)`` for a plain file, parsed in one C pass; None for any other.
+
+    A plain file is a regular file that ``_plain_commas`` passes, with a valid
+    header and at least one data row, whose every parsed cell numpy's parser
     reads (the ``float()`` of each cell, less blank cells, ``_`` separators and
-    non-ASCII digits), with no NaN target, infinite value or repeated id.
+    non-ASCII digits), with no NaN target, infinite parsed value or repeated
+    id.  A selected read also needs every row to be as wide as the header:
+    numpy reports a short row, but not a long one.
     """
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode) or not _plain_bytes(path):
+        if not stat.S_ISREG(os.stat(path).st_mode):
             return None  # a pipe is read once, by the row reader
+        commas = _plain_commas(path)
+        if commas is None:
+            return None
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
     except (OSError, UnicodeDecodeError):
@@ -147,6 +188,8 @@ def _read_plain(path: str) -> Optional[tuple[list[str], list[str], np.ndarray, n
     feature_names = [h.strip() for h in header[1:-1]]
     if len(header) < 3 or len(set(feature_names)) != len(feature_names):
         return None
+    keep = _selected(feature_names, features)
+    usecols = None if keep is None else [0, *(j + 1 for j in keep), len(header) - 1]
     ids: list[str] = []
 
     def take_id(cell: str) -> float:
@@ -158,42 +201,49 @@ def _read_plain(path: str) -> Optional[tuple[list[str], list[str], np.ndarray, n
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(
                 path, delimiter=",", skiprows=1, comments=None, converters={0: take_id},
-                encoding="utf-8", ndmin=2,
+                encoding="utf-8", ndmin=2, usecols=usecols,
             )
     except ValueError:  # a cell numpy does not read, a ragged row, or bad UTF-8
         return None
-    if table.shape != (len(ids), len(header)) or not ids or len(set(ids)) != len(ids):
+    if table.shape != (len(ids), len(usecols or header)) or not ids or len(set(ids)) != len(ids):
         return None
-    X, y = table[:, 1:-1].copy(), table[:, -1].copy()
+    if commas != (len(header) - 1) * (1 + len(ids)):
+        return None  # a row with more cells than the header, which usecols lets through
+    X, y = _spread(table[:, 1:-1], keep, len(feature_names)), table[:, -1].copy()
     if np.isinf(X).any() or not np.isfinite(y).all():
         return None
     return feature_names, ids, X, y
 
 
-def _plain_bytes(path: str) -> bool:
-    """Whether no line holds a quote, a NUL or a bare CR, or is longer than a csv field may be.
+def _plain_commas(path: str) -> Optional[int]:
+    """The file's comma count, or None if a line holds a quote, a NUL or a bare CR, or is
+    longer than a csv field may be.
 
     The csv module of Python 3.10 rejects a NUL; numpy's parser reads it.
     """
     limit = csv.field_size_limit()
+    commas = 0
     with open(path, "rb") as fh:
         start = 0  # where the current line begins, relative to the chunk
         while chunk := fh.read(1 << 20):
             if chunk.endswith(b"\r"):  # keep a CRLF in one chunk
                 chunk += fh.read(1)
             if b'"' in chunk or b"\0" in chunk:
-                return False
+                return None
             if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-                return False
+                return None
             while (end := chunk.rfind(b"\n", max(start, 0), start + limit + 1)) >= 0:
                 start = end + 1  # the line ending at `end` is at most `limit` bytes
             if start + limit < len(chunk):
-                return False
+                return None
             start -= len(chunk)
-    return True
+            commas += chunk.count(b",")
+    return commas
 
 
-def _read_rows(path: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+def _read_rows(
+    path: str, features: Optional[Collection[str]] = None
+) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """Read a task CSV record by record; every error message of the loader comes from here."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -209,14 +259,17 @@ def _read_rows(path: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]
                 raise DataError(f"{path}: duplicate feature column {dup!r}")
             ids: list[str] = []
             line_numbers: list[int] = []
-            rows: list[np.ndarray] = []  # each row's features, then its target
+            rows: list[np.ndarray] = []  # each row's parsed features, then its target
             width = len(header)
+            keep = _selected(feature_names, features)
+            # The record positions parsed: the features read, then the target.
+            columns = range(1, width) if keep is None else [*(j + 1 for j in keep), width - 1]
             for r, record in enumerate(reader, start=2):
                 if not record:
                     continue
                 if len(record) != width:
                     raise DataError(f"{path}: row {r}: expected {width} cells, found {len(record)}")
-                cells = record[1:]
+                cells = record[1:] if keep is None else [record[c] for c in columns]
                 if "" in cells:  # missing: "nan" reads as the NaN _parse_cell gives
                     cells = ["nan" if c == "" else c for c in cells]
                 try:  # float() on every cell, in C
@@ -228,7 +281,7 @@ def _read_rows(path: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]
                         )
                     except ValueError:  # a bad cell to name
                         values = np.array(
-                            [_parse_cell(c, path, r, j) for j, c in enumerate(record[1:], start=2)]
+                            [_parse_cell(record[c], path, r, c + 1) for c in columns]
                         )
                 if math.isnan(values[-1]):
                     raise DataError(f"{path}: row {r}: target value is NaN")
@@ -247,7 +300,7 @@ def _read_rows(path: str) -> tuple[list[str], list[str], np.ndarray, np.ndarray]
         raise DataError(f"{path}: row {again}: duplicate sample id {dup!r} (row {first})")
     table = np.array(rows)
     del rows  # the row arrays go before the copies below are made
-    X, y = table[:, :-1].copy(), table[:, -1].copy()
+    X, y = _spread(table[:, :-1], keep, len(feature_names)), table[:, -1].copy()
     inf_rows = np.flatnonzero(np.isinf(X).any(axis=1) | np.isinf(y))
     if len(inf_rows):
         i = int(inf_rows[0])

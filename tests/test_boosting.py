@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from bouts import pathsweep
+from bouts import boosting, pathsweep
 from bouts.boosting import (
     BoostConfig,
     BoutsModel,
@@ -117,6 +117,14 @@ class TestFitSingleTask:
         X = np.zeros((4, 1))
         trees, used, history = fit_single_task(X, np.ones(4), 0, 0.1, used={3})
         assert trees == [] and history == [] and used == {3}
+
+    def test_zero_rounds_prepare_no_root(self, monkeypatch):
+        def no_root(*args):
+            raise AssertionError("a root was prepared for no round")
+
+        monkeypatch.setattr(boosting, "sort_rows", no_root)
+        X = np.arange(8.0).reshape(4, 2)
+        assert fit_single_task(X, np.arange(4.0), 0, 0.1)[0] == []
 
     def test_stump_round_updates_residuals(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])

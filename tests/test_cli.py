@@ -350,15 +350,15 @@ class TestPredictCommand:
         assert code == cli.EXIT_DATA
         assert f"{trimmed}: lacks feature column 'f002'" in capsys.readouterr().err
 
-    def _predict_with_blank_cell(self, fit_dir, synth_dir, tmp_path, used: bool):
-        """Blank row 5's cell in a feature task 0's trees do (or do not) split on."""
+    def _predict_with_cell(self, fit_dir, synth_dir, tmp_path, used: bool, text: str = ""):
+        """Set row 5's cell in a feature task 0's trees do (or do not) split on to ``text``."""
         model = BoutsModel.from_dict(read_json(os.path.join(fit_dir, "model.json"))["model"])
         uses = model.universal_feature_indices | model.task_feature_indices(0)
         column = next(f for j, f in enumerate(model.feature_names) if (j in uses) == used)
         with open(os.path.join(synth_dir, "task0.csv")) as fh:
             rows = list(csv.reader(fh))
-        rows[5][rows[0].index(column)] = ""
-        data = tmp_path / "blank.csv"
+        rows[5][rows[0].index(column)] = text
+        data = tmp_path / "edited.csv"
         with open(data, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         code = run(
@@ -367,10 +367,19 @@ class TestPredictCommand:
         )
         return code, data, rows[5][0], column
 
+    def _clean_prediction(self, fit_dir, synth_dir, tmp_path) -> bytes:
+        full = str(tmp_path / "full.csv")
+        code = run(
+            "predict", "--model", os.path.join(fit_dir, "model.json"),
+            "--data", os.path.join(synth_dir, "task0.csv"), "--task", "task0", "--out", full,
+        )
+        assert code == cli.EXIT_OK
+        return read_bytes(full)
+
     def test_missing_cell_in_used_feature_exits_data(
         self, synth_dir, fit_dir, tmp_path, capsys
     ):
-        code, data, sid, column = self._predict_with_blank_cell(
+        code, data, sid, column = self._predict_with_cell(
             fit_dir, synth_dir, tmp_path, used=True
         )
         err = capsys.readouterr().err
@@ -378,15 +387,28 @@ class TestPredictCommand:
         assert f"{data}: sample {sid!r}, column {column!r}: missing value" in err
 
     def test_missing_cell_in_unused_feature_still_predicts(self, synth_dir, fit_dir, tmp_path):
-        code, _, _, _ = self._predict_with_blank_cell(fit_dir, synth_dir, tmp_path, used=False)
+        code, _, _, _ = self._predict_with_cell(fit_dir, synth_dir, tmp_path, used=False)
         assert code == cli.EXIT_OK
-        full = str(tmp_path / "full.csv")
-        code = run(
-            "predict", "--model", os.path.join(fit_dir, "model.json"),
-            "--data", os.path.join(synth_dir, "task0.csv"), "--task", "task0", "--out", full,
-        )
+        clean = self._clean_prediction(fit_dir, synth_dir, tmp_path)
+        assert read_bytes(str(tmp_path / "pred.csv")) == clean
+
+    @pytest.mark.parametrize("text", ["abc", "inf", "-Infinity", "1_0"])
+    def test_bad_cell_in_unused_feature_is_not_parsed(self, text, synth_dir, fit_dir, tmp_path):
+        code, _, _, _ = self._predict_with_cell(fit_dir, synth_dir, tmp_path, False, text)
         assert code == cli.EXIT_OK
-        assert read_bytes(str(tmp_path / "pred.csv")) == read_bytes(full)
+        clean = self._clean_prediction(fit_dir, synth_dir, tmp_path)
+        assert read_bytes(str(tmp_path / "pred.csv")) == clean
+
+    @pytest.mark.parametrize("text", ["abc", "inf"])
+    def test_bad_cell_in_used_feature_exits_data(self, text, synth_dir, fit_dir, tmp_path, capsys):
+        code, data, _, column = self._predict_with_cell(fit_dir, synth_dir, tmp_path, True, text)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        if text == "inf":
+            assert f"error: {data}: row 6, column {column!r}: infinite value\n" == err
+        else:
+            number = int(column[1:]) + 2  # synth's feature j is f{j:03d}, after the id
+            assert f"error: {data}: row 6, column {number}: cannot parse 'abc' as a number\n" == err
 
 
 def _cyclic_root(model: dict) -> None:
@@ -854,6 +876,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert "noise_sigma" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--tasks", "1", "--features", "4"), ("[4]", "--n-universal 3", "--n-specific 2")),
+            (("--tasks", "1", "--features", "5"), ("nuisance", "--n-universal 3", "--n-specific 2")),
+            (("--features", "6", "--universal", "0,6", "--specific", "1;2;-1"),
+             ("[-1, 6]", "--universal", "--specific")),
+        ],
+        ids=["planted counts", "no nuisance feature", "planted lists"],
+    )
+    def test_planted_features_that_do_not_fit_exit_usage(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("synth", "--out", str(out), *flags)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert all(text in err for text in ("--features", *named)) and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "stability"])

@@ -1,5 +1,6 @@
 """CSV ingestion, pruning, category assembly, splits, and standardization."""
 
+import contextlib
 import csv
 import json
 import math
@@ -329,6 +330,94 @@ class TestOnePassParse:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert (task.sample_ids, task.X.tolist(), task.y.tolist()) == (["s1"], [[1.0]], [2.0])
+
+
+# Cells the one-pass parse declines in a column it converts, and may skip in one it
+# does not: text, infinities, blank cells, "_" separators and non-ASCII digits.
+UNREAD = st.sampled_from(["abc", "1e", "0x10", "inf", "-Infinity", "", "  ", "1_000", "\u0663"])
+
+
+def read_of(path, features, select):
+    """The names, ids, bytes of the columns ``features`` and of y that a read of ``path`` gives,
+    or its error message; ``select`` passes ``features`` to the loader."""
+    try:
+        task = load_task_csv(path, features=features if select else None)
+    except DataError as e:
+        return str(e)
+    keep = [j for j, f in enumerate(task.feature_names) if f in features]
+    if select:  # the columns not asked for are never parsed
+        rest = [j for j in range(task.n_features) if j not in keep]
+        assert np.isnan(task.X[:, rest]).all()
+    return task.feature_names, task.sample_ids, task.X[:, keep].tobytes(), task.y.tobytes()
+
+
+class TestSelectedRead:
+    """``load_task_csv(path, features=S)`` reads the columns S as the full read does, no others."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_the_selected_columns_as_the_full_read_does(self, data):
+        n_features = data.draw(st.integers(1, 4), label="features")
+        n_rows = data.draw(st.integers(1, 6), label="rows")
+        names = [f"f{j}" for j in range(n_features)]
+        S = data.draw(st.sets(st.sampled_from([*names, "absent"])), label="S")
+        plain = data.draw(st.booleans(), label="plain")
+        if plain:  # cells the one-pass parse reads where it converts, anything elsewhere
+            inside, target = st.one_of(PLAIN_NUMBERS, PLAIN_MISSING), PLAIN_NUMBERS
+            outside = st.one_of(inside, UNREAD)
+        else:  # the files of TestCellParsing
+            clean = data.draw(st.booleans(), label="clean")
+            inside = outside = st.one_of(NUMBERS, MISSING, *([] if clean else [BAD]))
+            target = NUMBERS if clean else inside
+        rows = [["id", *names, "target"]]
+        rows += [
+            [f"s{i}", *(data.draw(inside if f in S else outside) for f in names), data.draw(target)]
+            for i in range(n_rows)
+        ]
+        ragged = data.draw(st.sampled_from(["", "extra cell", "missing cell"]), label="ragged")
+        if ragged:
+            row = rows[data.draw(st.integers(1, n_rows), label="ragged row")]
+            at = data.draw(st.integers(1, len(row) - 1), label="at")
+            if ragged == "extra cell":
+                row.insert(at, data.draw(PLAIN_NUMBERS))
+            else:
+                del row[at]
+        # The same file with every cell outside S a clean number.
+        masked = rows[:1] + [
+            ["0" if 0 < j <= n_features and names[j - 1] not in S else c for j, c in enumerate(row)]
+            for row in rows[1:]
+        ]
+        flags = st.just(False) if plain else st.booleans()
+        quote = [data.draw(st.lists(flags, min_size=len(r), max_size=len(r))) for r in rows]
+        # A plain file, cell counts intact, is read without the row reader.
+        one_pass = plain and not ragged
+        row_reader = mock.patch("bouts.data._read_rows", side_effect=AssertionError("row reader"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/t.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text(rows, quote))
+            full = read_of(path, S, select=False)
+            with row_reader if one_pass else contextlib.nullcontext():
+                got = read_of(path, S, select=True)
+            with open(path, "w", encoding="utf-8", newline="") as fh:  # same name, same messages
+                fh.write(csv_text(masked, quote))
+            masked_full = read_of(path, S, select=False)
+        # A defect in S, the target or a row's cell count is the full read's; no other is seen.
+        assert got == masked_full
+        if not isinstance(full, str):
+            assert got == full
+        if ragged:
+            assert isinstance(got, str)
+
+    def test_a_late_row_with_an_extra_cell_is_rejected(self, tmp_path):
+        # Past the first 1-MiB chunk of the byte scan; numpy alone would read it.
+        lines = [b"s%d,1.0,2.0,3.0\n" % i for i in range(100_000)]
+        lines[90_000] = b"s90000,1.0,2.0,3.0,4.0\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,f1,f2,target\n" + b"".join(lines))
+        assert _read_plain(str(path), {"f1"}) is None
+        with pytest.raises(DataError, match=r"t\.csv: row 90002: expected 4 cells, found 5$"):
+            load_task_csv(str(path), features={"f1"})
 
 
 class TestPruneFeatures:
