@@ -46,11 +46,9 @@ from .stability import (
     cohens_d,
     make_report,
     selection_replicates,
-    spearman,
     stability,
     stability_ci,
     stability_variance,
-    universal_correlation_matrix,
     ztest,
 )
 from .synth import SynthSpec, SynthTruth, generate, write_outputs

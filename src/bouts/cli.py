@@ -1,8 +1,10 @@
 """Command-line surface: fit, path, stability, synth, predict.
 
-``fit``, ``path`` and ``stability`` take only the options they read, as flags or as
-keys of a ``--config`` JSON file (flags win); an unknown key or a wrongly typed value
-is a usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+``fit``, ``path``, ``stability`` and ``synth`` take only the options they read, each
+declared once in an ``Option`` table whose kind gives its type and range.  The first
+three also take them as keys of a ``--config`` JSON file (flags win); ``synth`` takes
+no ``--config``.  An unknown key, or a value of the wrong type or out of range, is a
+usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,54 +49,79 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-INTEGER, NUMBER, STRING, BASE = "an integer", "a number", "a string", 'a number or "e"'
-COUNT = "an integer >= 1"
-FRACTION = "a number in (0, 1)"
-NUMBERS, PENALTIES = "a list of numbers", "a number or a list of numbers"
+class Kind(NamedTuple):
+    """A type of option value: its name in messages, how a flag's text reads, its range."""
+
+    name: str
+    read: Optional[Callable[[str], Any]]  # None: no flag and no single JSON number gives it
+    holds: Callable[[Any], bool] = lambda value: True
+
+
+def _ints(text: str) -> list[int]:
+    """A comma list of integers; empty items are skipped, so "" is the empty list."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+INTEGER, NUMBER, STRING = Kind("an integer", int), Kind("a number", float), Kind("a string", str)
+COUNT = Kind("an integer >= 1", int, lambda v: v >= 1)
+FRACTION = Kind("a number in (0, 1)", float, lambda v: 0 < v < 1)
+BASE = Kind('a number or "e"', lambda text: math.e if text == "e" else float(text))
+NUMBERS, PENALTIES = Kind("a list of numbers", None), Kind("a number or a list of numbers", float)
+# synth's kinds: synth takes no --config, so only flags give them.
+SIZE = Kind("an integer >= 0", int, lambda v: v >= 0)
+SCALE = Kind("a finite number >= 0", float, lambda v: 0 <= v < math.inf)  # NaN fails too
+RHO = Kind("a number in [0, 1)", float, lambda v: 0 <= v < 1)
+INTEGERS = Kind("a comma list of integers", _ints)
+COUNTS = Kind("a comma list of integers >= 1", _ints, lambda v: len(v) > 0 and min(v) >= 1)
+SIGNS = Kind("a comma list of 1 and -1", _ints, lambda v: {*v} <= {1, -1})
+INDEX_SETS = Kind(
+    "comma lists of integers, ';' between tasks", lambda text: [*map(_ints, text.split(";"))]
+)
 
 
 class Option(NamedTuple):
-    """One setting: its config key, its type, its flag (None when config-only)."""
+    """One setting: its config key, its kind, its flag (None when config-only)."""
 
     key: str
-    kind: str  # the option's type, named as in error messages
+    kind: Kind
     flag: Optional[str] = None
     choices: Optional[Sequence[str]] = None
 
 
-def _grid_base(text: str) -> float:
-    return math.e if text == "e" else float(text)
+def _flag_type(kind: Kind) -> Callable[[str], Any]:
+    """The argparse type of a flag of ``kind``: a value out of its range is a usage error."""
 
+    def read(text: str):
+        try:
+            value = kind.read(text)
+            if kind.holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {kind.name}, got {text!r}")
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be {COUNT}, got {value}")
-    return value
-
-
-FLAG_TYPES = {INTEGER: int, COUNT: _count, NUMBER: float, STRING: str, BASE: _grid_base}
+    return read
 
 
 def _from_json(value, opt: Option, where: str):
     """A config value as ``opt`` takes it; a ValueError naming ``where`` if it is not one."""
-    number = {int, float}  # exact JSON types: a bool is not a number
+    number, kind = {int, float}, opt.kind  # exact JSON types: a bool is not a number
     try:
-        if opt.kind == INTEGER and type(value) in number and value == int(value):
-            return int(value)
-        if opt.kind == COUNT and type(value) in number and value == int(value) and value >= 1:
-            return int(value)
-        if opt.kind in (NUMBER, PENALTIES, BASE) and type(value) in number:
-            return float(value)
-        if opt.kind == FRACTION and type(value) in number and 0 < value < 1:
-            return float(value)
-        if opt.kind in (NUMBERS, PENALTIES) and type(value) is list and {*map(type, value)} <= number:
-            return [float(v) for v in value]
-        if opt.kind == BASE and isinstance(value, str) or opt.kind == STRING and value in opt.choices:
-            return FLAG_TYPES[opt.kind](value)
+        if type(value) in number and kind.read is int and value == int(value):
+            value = int(value)
+        elif type(value) in number and kind.read in (float, BASE.read):
+            value = float(value)
+        elif type(value) is list and kind in (NUMBERS, PENALTIES) and {*map(type, value)} <= number:
+            value = [float(v) for v in value]
+        elif type(value) is str and kind in (BASE, STRING):
+            value = kind.read(value)
+        else:
+            value = None  # no value of this JSON type is one of this kind
+        if value is not None and kind.holds(value) and (not opt.choices or value in opt.choices):
+            return value
     except (ValueError, OverflowError):
         pass
-    want = f"one of {opt.choices}" if opt.choices else opt.kind
+    want = f"one of {opt.choices}" if opt.choices else kind.name
     raise ValueError(f"{where}: {opt.key!r} must be {want}")
 
 
@@ -130,6 +157,23 @@ STABILITY = (
     Option("stability_variant", STRING, "--stability-variant", VARIANTS),
     Option("alpha", FRACTION),
 )
+SYNTH = (
+    Option("tasks", COUNT, "--tasks"),
+    Option("features", COUNT, "--features"),
+    Option("samples", COUNTS, "--samples"),
+    Option("n_universal", SIZE, "--n-universal"),
+    Option("n_specific", SIZE, "--n-specific"),
+    Option("universal", INTEGERS, "--universal"),
+    Option("specific", INDEX_SETS, "--specific"),
+    Option("signs", SIGNS, "--signs"),
+    Option("noise", SCALE, "--noise"),
+    Option("rho", RHO, "--rho"),
+    Option("nonlinearity", STRING, "--nonlinearity", synth_mod.NONLINEARITIES),
+    SEED,
+)
+# synth's defaults where SynthSpec has none: 3 tasks of 500 rows and 50 features,
+# 3 of them universal and 2 more specific to each task.
+SYNTH_DEFAULTS = {"tasks": 3, "features": 50, "samples": [500], "n_universal": 3, "n_specific": 2}
 
 
 def _settings(args: argparse.Namespace) -> dict:
@@ -297,52 +341,39 @@ def _finite_or_str(obj):
     return obj
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    tasks = args.tasks
-    if args.universal is not None:
-        universal = _parse_int_list(args.universal)
+    cfg = SYNTH_DEFAULTS | _settings(args)
+    tasks, d = cfg["tasks"], cfg["features"]
+    samples = cfg["samples"] * tasks if len(cfg["samples"]) == 1 else cfg["samples"]
+    per_task = {"--samples": samples, "--specific": cfg.get("specific"), "--signs": cfg.get("signs")}
+    for flag, values in per_task.items():
+        if values is not None and len(values) != tasks:
+            raise ValueError(f"{flag} has {len(values)} entries for --tasks {tasks}")
+    universal = cfg["universal"] if "universal" in cfg else list(range(cfg["n_universal"]))
+    if "specific" in cfg:
+        task_specific = cfg["specific"]
     else:
-        universal = list(range(args.n_universal))
-    if args.specific is not None:
-        task_specific = [_parse_int_list(part) for part in args.specific.split(";")]
-    else:
-        base = len(universal)
-        task_specific = [
-            list(range(base + t * args.n_specific, base + (t + 1) * args.n_specific))
-            for t in range(tasks)
-        ]
+        base, k = len(universal), cfg["n_specific"]
+        task_specific = [list(range(base + t * k, base + (t + 1) * k)) for t in range(tasks)]
     planted = {*universal, *(f for part in task_specific for f in part)}
-    outside = sorted(f for f in planted if not 0 <= f < args.features)
+    outside = sorted(f for f in planted if not 0 <= f < d)
     n_planted = len(set(universal)) + sum(map(len, task_specific))  # as SynthSpec counts them
-    if outside or n_planted >= args.features:  # the flags' fault, so a usage error
+    if outside or n_planted >= d:  # the flags' fault, so a usage error
         flags = " and ".join((
-            "--universal" if args.universal is not None else f"--n-universal {args.n_universal}",
-            "--specific" if args.specific is not None else f"--n-specific {args.n_specific}",
+            "--universal" if "universal" in cfg else f"--n-universal {cfg['n_universal']}",
+            "--specific" if "specific" in cfg else f"--n-specific {cfg['n_specific']}",
         ))
         if outside:
-            what = f"planted feature indices {outside} of {flags} outside [0, {args.features})"
+            what = f"planted feature indices {outside} of {flags} outside [0, {d})"
         else:
             what = f"no nuisance feature beside the {n_planted} planted ones of {flags}"
-        raise ValueError(f"--features {args.features} leaves {what}")
-    signs = _parse_int_list(args.signs) if args.signs else None
-    samples: Sequence[int] | int = (
-        _parse_int_list(args.samples) if "," in args.samples else int(args.samples)
-    )
+        raise ValueError(f"--features {d} leaves {what}")
     spec = synth_mod.SynthSpec(
-        n_tasks=tasks,
-        n_features=args.features,
         n_samples=samples,
         universal=universal,
         task_specific=task_specific,
-        noise_sigma=args.noise,
-        nonlinearity=args.nonlinearity,
-        correlation_rho=args.rho,
-        output_sign=signs,
-        seed=args.seed,
+        **_pick(cfg, "nonlinearity", "seed", n_tasks="tasks", n_features="features",
+                noise_sigma="noise", correlation_rho="rho", output_sign="signs"),
     )
     dataset, truth = synth_mod.generate(spec)
     synth_mod.write_outputs(dataset, truth, args.out)
@@ -423,33 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit", cmd_fit, SPLIT + BOOST + PENALTY, "fit the selector and write reports"),
         ("path", cmd_path, SPLIT + BOOST + PATH, "sweep the penalty grid"),
         ("stability", cmd_stability, BOOST + PENALTY + STABILITY, "replicate-split stability study"),
+        ("synth", cmd_synth, SYNTH, "generate planted-truth data"),
     ):
-        # A flag not given sets no attribute: the config file or the library decides.
+        # A flag not given sets no attribute: the config file, the command or the library decides.
         cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        cmd.add_argument("--manifest", required=True, help="JSON manifest of task CSVs")
+        if func is not cmd_synth:  # synth reads no data and no config file
+            cmd.add_argument("--manifest", required=True, help="JSON manifest of task CSVs")
+            cmd.add_argument("--config", help="JSON config file; flags override its keys")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--config", help="JSON config file; flags override its keys")
         for opt in (opt for opt in options if opt.flag):
-            cmd.add_argument(opt.flag, dest=opt.key, type=FLAG_TYPES[opt.kind], choices=opt.choices)
+            cmd.add_argument(
+                opt.flag, dest=opt.key, type=_flag_type(opt.kind), choices=opt.choices,
+                help=None if opt.choices else opt.kind.name,
+            )
         cmd.set_defaults(func=func, options=options)
-
-    p_synth = sub.add_parser("synth", help="generate planted-truth data")
-    p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--tasks", type=int, default=3)
-    p_synth.add_argument("--features", type=int, default=50)
-    p_synth.add_argument("--samples", default="500", help="count, or comma list per task")
-    p_synth.add_argument("--n-universal", dest="n_universal", type=int, default=3)
-    p_synth.add_argument("--n-specific", dest="n_specific", type=int, default=2)
-    p_synth.add_argument("--universal", help="explicit comma-separated indices")
-    p_synth.add_argument("--specific", help="explicit indices, ';' between tasks")
-    p_synth.add_argument("--signs", help="comma-separated +1/-1 per task")
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--rho", type=float, default=0.0)
-    p_synth.add_argument(
-        "--nonlinearity", choices=synth_mod.NONLINEARITIES, default=synth_mod.QUADRATIC
-    )
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.set_defaults(func=cmd_synth)
 
     p_pred = sub.add_parser("predict", help="predict a task CSV with a saved model")
     p_pred.add_argument("--model", required=True, help="model.json from fit")

@@ -36,15 +36,17 @@ from .trees import TreeParams
 DOWNSTREAM_DEPTHS = (2, 3)
 DOWNSTREAM_ROUNDS = (100, 300)
 DOWNSTREAM_LEARNING_RATE = 0.1
+MAX_GRID_POINTS = 1000  # each point is a fit plus its re-fits; a longer grid is refused unbuilt
 
 
 def log_grid(n_points: int = 20, low: float = -4.0, high: float = 4.0, base: float = math.e) -> list[float]:
     """Penalty grid equally spaced in log space, default exp(-4)..exp(4).
 
-    Raises ValueError unless the grid is finite and strictly increasing.
+    Raises ValueError unless ``n_points`` is in [2, MAX_GRID_POINTS] and the
+    grid is finite and strictly increasing.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+    if not 2 <= n_points <= MAX_GRID_POINTS:
+        raise ValueError(f"n_points must be in [2, {MAX_GRID_POINTS}], got {n_points}")
     if not 1.0 < base < math.inf:
         raise ValueError(f"base must be a finite number > 1, got {base}")
     with np.errstate(over="ignore"):

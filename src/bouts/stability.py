@@ -17,17 +17,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .boosting import BoostConfig, fit, pool_map
-from .data import (
-    MultitaskDataset,
-    TaskDataset,
-    overlap_split,
-    standardize_dataset,
-)
+from .data import MultitaskDataset, overlap_split, standardize_dataset
 from .errors import BoutsError, DataError, NumericalError
 
 PAPER_FORMULA = "paper_formula"
@@ -196,61 +190,6 @@ def make_report(
         mean_features_selected=float(matrix.Z.sum(axis=1).mean()),
         variant=variant,
     )
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``; tied values share the mean of their ranks."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Rank correlation with average ranks for ties."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise DataError("spearman needs two equal-length vectors of length >= 2")
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise DataError("spearman is undefined for NaN input")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    if np.std(rx) == 0.0 or np.std(ry) == 0.0:
-        raise NumericalError("spearman is undefined for a constant input")
-    return float(np.corrcoef(rx, ry)[0, 1])
-
-
-def universal_correlation_matrix(
-    tasks: Sequence[TaskDataset], feature_names: Sequence[str]
-) -> np.ndarray:
-    """Mean absolute rank correlation per feature pair across the datasets.
-
-    A dataset counts for a pair only when it defines both features with
-    nonconstant columns; a pair no dataset defines gets NaN.  Diagonal is 1.
-    """
-    k = len(feature_names)
-    mat = np.full((k, k), np.nan)
-    np.fill_diagonal(mat, 1.0)
-    columns: list[dict[str, np.ndarray]] = []
-    for task in tasks:
-        cols = {}
-        for j, name in enumerate(task.feature_names):
-            if name in feature_names:
-                col = task.X[:, j]
-                if not np.isnan(col).any() and np.ptp(col) > 0:
-                    cols[name] = col
-        columns.append(cols)
-    for i in range(k):
-        for j in range(i + 1, k):
-            vals = []
-            for cols in columns:
-                a = cols.get(feature_names[i])
-                b = cols.get(feature_names[j])
-                if a is None or b is None:
-                    continue
-                vals.append(abs(spearman(a, b)))
-            if vals:
-                mat[i, j] = mat[j, i] = float(np.mean(vals))
-    return mat
 
 
 def _replicate_rows(

@@ -15,7 +15,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .data import MultitaskDataset, TaskDataset, write_csv, write_json
-from .errors import DataError
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -25,7 +24,7 @@ NONLINEARITIES = (LINEAR, QUADRATIC, INTERACTION)
 
 @dataclass
 class SynthSpec:
-    """Planted-truth generator configuration."""
+    """Planted-truth generator configuration; a bad parameter raises ValueError."""
 
     n_tasks: int
     n_features: int
@@ -41,43 +40,43 @@ class SynthSpec:
     def __post_init__(self) -> None:
         T, d = self.n_tasks, self.n_features
         if T < 1:
-            raise DataError("need at least one task")
+            raise ValueError("need at least one task")
         if len(self.task_specific) != T:
-            raise DataError("task_specific must list one index set per task")
+            raise ValueError("task_specific must list one index set per task")
         if self.output_sign is None:
             self.output_sign = [1] * T
         if len(self.output_sign) != T or any(s not in (-1, 1) for s in self.output_sign):
-            raise DataError("output_sign must be one of {-1, +1} per task")
+            raise ValueError("output_sign must be one of {-1, +1} per task")
         uni = set(self.universal)
         all_planted = set(uni)
         for t, spec_t in enumerate(self.task_specific):
             st = set(spec_t)
             if st & uni:
-                raise DataError(
+                raise ValueError(
                     f"task {t}: specific features {sorted(st & uni)} overlap the universal set"
                 )
             all_planted |= st
         if any(not 0 <= f < d for f in all_planted):
-            raise DataError("planted feature indices must lie in [0, n_features)")
+            raise ValueError("planted feature indices must lie in [0, n_features)")
         if T >= 2:
             shared_by_all = set.intersection(*(set(s) for s in self.task_specific))
             if shared_by_all:
-                raise DataError(
+                raise ValueError(
                     f"features {sorted(shared_by_all)} appear in every task's specific set; "
                     "a feature used by all tasks is universal, not task-specific"
                 )
         if len(uni) + sum(len(s) for s in self.task_specific) >= d:
-            raise DataError("planted features must leave room for nuisance features")
+            raise ValueError("planted features must leave room for nuisance features")
         if not 0 <= self.noise_sigma < np.inf:  # NaN fails too
-            raise DataError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.correlation_rho < 1.0:
-            raise DataError("correlation_rho must be in [0, 1)")
+            raise ValueError("correlation_rho must be in [0, 1)")
         if self.nonlinearity not in NONLINEARITIES:
-            raise DataError(f"nonlinearity must be one of {NONLINEARITIES}")
+            raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
         ns = self.n_samples
         self.n_samples = [int(ns)] * T if isinstance(ns, int) else [int(v) for v in ns]
         if len(self.n_samples) != T or any(v < 1 for v in self.n_samples):
-            raise DataError("n_samples must be a positive count (or one per task)")
+            raise ValueError("n_samples must be a positive count (or one per task)")
 
     @property
     def feature_names(self) -> list[str]:

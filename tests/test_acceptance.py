@@ -28,7 +28,6 @@ from bouts.stability import (
     SelectionMatrix,
     cohens_d,
     selection_replicates,
-    spearman,
     stability,
     stability_variance,
     ztest,
@@ -641,6 +640,25 @@ def test_a6_stability_statistics_consistency():
 # A7: the penalty-path protocol behaves as documented.
 
 
+def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of the ranks, tied values sharing their mean rank."""
+
+    def average_ranks(v: np.ndarray) -> np.ndarray:
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+    return float(np.corrcoef(average_ranks(x), average_ranks(y))[0, 1])
+
+
+def test_a7_rank_correlation_averages_tied_ranks():
+    x, y = np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+    assert rank_correlation(x, -x) == pytest.approx(-1.0)
+    assert rank_correlation(x, np.exp(y)) == pytest.approx(0.8)
+    # Ranks (1.5, 1.5, 3) against (1, 2, 3).
+    tied = rank_correlation(np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    assert tied == pytest.approx(math.sqrt(3) / 2)
+
+
 def test_a7_path_protocol(planted_fit):
     standardized, split, _, _, _, _ = planted_fit
 
@@ -659,7 +677,7 @@ def test_a7_path_protocol(planted_fit):
     totals = [
         len(p.universal) + sum(len(s) for s in p.task_specific) for p in path.points
     ]
-    rho = spearman(np.asarray(grid), np.asarray(totals, dtype=np.float64))
+    rho = rank_correlation(np.asarray(grid), np.asarray(totals, dtype=np.float64))
     assert rho <= -0.8, f"sparsity trend Spearman {rho:.3f}"
 
     # A constructed 12% explained-variance drop at index 2 selects index 1.

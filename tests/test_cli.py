@@ -63,6 +63,14 @@ def run(*args: str) -> int:
     return cli.main(list(args))
 
 
+def exit_code(*args: str) -> int:
+    """``run``'s exit code, also when argparse rejects the arguments."""
+    try:
+        return run(*args)
+    except SystemExit as e:
+        return e.code
+
+
 def read_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -872,11 +880,70 @@ class TestExitCodes:
     @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
     def test_bad_synth_noise_exits_data_writing_nothing(self, noise, tmp_path, capsys):
         out = tmp_path / "out"
-        code = run("synth", "--out", str(out), "--noise", noise)
+        code = exit_code("synth", "--out", str(out), "--noise", noise)
         err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
-        assert "noise_sigma" in err and "Traceback" not in err
+        assert code == cli.EXIT_USAGE
+        assert "argument --noise: must be a finite number >= 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--n-universal", "-1"), "argument --n-universal: must be an integer >= 0"),
+            (("--n-specific", "-1"), "argument --n-specific: must be an integer >= 0"),
+            (("--tasks", "0"), "argument --tasks: must be an integer >= 1"),
+            (("--features", "x"), "argument --features: must be an integer >= 1"),
+            (("--rho", "1"), "argument --rho: must be a number in [0, 1)"),
+            (("--signs", "1,0"), "argument --signs: must be a comma list of 1 and -1"),
+            (("--samples", "10,0"), "argument --samples: must be a comma list of integers >= 1"),
+            (("--universal", "0,x"), "argument --universal: must be a comma list of integers"),
+            (("--nonlinearity", "cubic"), "argument --nonlinearity: invalid choice"),
+            (("--signs", "1,1", "--tasks", "1"), "--signs has 2 entries for --tasks 1"),
+            (("--samples", "10,20"), "--samples has 2 entries for --tasks 3"),
+            (("--specific", "3;4"), "--specific has 2 entries for --tasks 3"),
+            (("--universal", "0", "--specific", "0;1;2"), "specific features [0] overlap"),
+            (("--specific", "5;5;5"), "features [5] appear in every task's specific set"),
+        ],
+    )
+    def test_bad_synth_flags_exit_usage_naming_the_flag(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = exit_code("synth", "--out", str(out), *flags)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert named in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    def test_synth_takes_no_manifest_or_config(self, tmp_path, capsys):
+        for flag in ("--manifest", "--config"):
+            code = exit_code("synth", "--out", str(tmp_path / "out"), flag, "x.json")
+            assert code == cli.EXIT_USAGE
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("given", ["flag 100000000", "flag 1001", "config 100000000"])
+    def test_grid_above_the_ceiling_exits_usage_before_it_is_built(
+        self, given, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a grid above the ceiling was built or reached the data")
+
+        monkeypatch.setattr(cli, "load_manifest", no_work)
+        monkeypatch.setattr(pathsweep.np, "linspace", no_work)
+        way, value = given.split()
+        if way == "flag":
+            extra = ("--grid-points", value)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"grid_points": int(value)}))
+            extra = ("--config", str(cfg_path))
+        code = run(
+            "path", "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), *extra,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert f"n_points must be in [2, {pathsweep.MAX_GRID_POINTS}], got {value}" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -1286,3 +1353,136 @@ def test_mangled_model_bundle_exits_with_a_documented_code(data):
         jsonschema.validate(instance=bundle, schema=load_schema("model"))
     else:
         assert message.startswith("error:") and model in message, message
+
+
+# ---------------------------------------------------------------------------
+# Hostile option values: whatever a run's flags and --config keys hold, it ends
+# with exit 0, 2, 3 or 4, prints no traceback, and writes nothing when it fails.
+# Huge values go only to options that are cheap or refused before any work; the
+# options that size the work (rounds, replicates, tasks, features, samples) get
+# small or invalid values, and --jobs is at most 2.
+
+INVALID_TEXT = ["0", "-1", "nan", "inf", "-inf", "x", "", "1.5", "1,2", "1e400"]
+HUGE_TEXT = ["1e300", str(2**63), str(10**30)]
+
+
+def flag_text(*typical: str, huge: bool = False):
+    """Half the draws come from ``typical``, the rest from the invalid (and the huge) texts."""
+    return st.sampled_from(typical) | st.sampled_from([*INVALID_TEXT, *(HUGE_TEXT if huge else ())])
+
+
+FLAG_TEXT = {
+    "--seed": flag_text("0", "7", huge=True),
+    "--rounds-universal": flag_text("1", "2"),
+    "--rounds-task": flag_text("1", "2"),
+    "--learning-rate": flag_text("0.1", "1", huge=True),
+    "--max-depth": flag_text("1", "3", huge=True),
+    "--min-samples-leaf": flag_text("1", "5", huge=True),
+    "--min-gain": flag_text("1e-7", "1", huge=True),
+    "--criterion": flag_text("friedman", "variance"),
+    "--lambda": flag_text("0.5", "5", huge=True),
+    "--grid-points": flag_text("2", "3", "1001", "100000000", huge=True),
+    "--grid-base": flag_text("e", "2", "10", "1", "1e300", huge=True),
+    "--jobs": flag_text("1", "2"),
+    "--replicates": flag_text("2", "3"),
+    "--stability-variant": flag_text("normalized", "paper_formula"),
+    "--tasks": flag_text("1", "2", "3"),
+    "--features": flag_text("4", "6", "8"),
+    "--samples": flag_text("10", "40", "10,20", "10,20,30"),
+    "--n-universal": flag_text("0", "1", "2"),
+    "--n-specific": flag_text("0", "1", "2"),
+    "--universal": flag_text("0", "0,1", "5", "0,9"),
+    "--specific": flag_text("1;2", "1;2;3", "1;1", ";", "2;-1"),
+    "--signs": flag_text("1,-1", "-1", "1,1,1"),
+    "--noise": flag_text("0", "0.5", huge=True),
+    "--rho": flag_text("0.5", "0.99", "1"),
+    "--nonlinearity": flag_text("linear", "quadratic", "interaction"),
+}
+HOSTILE_JSON = [0, -1, math.nan, math.inf, -math.inf, True, None, "x", 1.5, [], [0.5], {"a": 1}]
+CONFIG_JSON = {
+    "seed": [7, 10**30, 1e308],
+    "ratios": [[0.7, 0.2, 0.1], [0.5, 0.25, 0.25], [1, 0, 0], [0.7, 0.3], [math.nan, 0.5, 0.5]],
+    "rounds_universal": [1, 2],
+    "rounds_task": [1, 2],
+    "learning_rate": [0.1, 1e308],
+    "max_depth": [1, 10**30],
+    "min_samples_leaf": [1, 10**30],
+    "min_gain": [1e-7, 1e308],
+    "criterion": ["friedman", "variance"],
+    "lam": [0.5, 1e308],
+    "lambda_u": [0.5, 1e308],
+    "lambda_task": [0.5, [0.5, 1.0], [0.5, -1.0], [0.5, 1.0, 2.0]],
+    "grid_points": [2, 3, 1001, 10**8, 10**30],
+    "grid_base": ["e", 2, 1e300, "ten"],
+    "drop": [0.1, 0.9],
+    "jobs": [1, 2],
+    "replicates": [2, 3],
+    "stability_variant": ["normalized", "paper_formula"],
+    "alpha": [0.05, 0.5],
+    "max_dept": [3],  # no command takes this key
+}
+# The budgets every --config starts from; drawn keys and flags override them.
+SMALL_BUDGETS = {
+    "rounds_universal": 1, "rounds_task": 1, "grid_points": 2, "replicates": 2, "jobs": 1,
+}
+
+
+def command_options(command: str) -> tuple:
+    """The ``Option`` table ``command`` is registered with."""
+    argv = [command, "--out", "o", *(("--manifest", "m") if command != "synth" else ())]
+    return cli.build_parser().parse_args(argv).options
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory) -> str:
+    """The pinned 2x6x40 synth set and a 1+1-round model fitted on it."""
+    inputs = str(tmp_path_factory.mktemp("hostile"))
+    shutil.copytree(PINNED_DIR, inputs, dirs_exist_ok=True)
+    code = run("fit", "--manifest", os.path.join(inputs, "manifest.json"), "--out", inputs,
+               "--rounds-universal", "1", "--rounds-task", "1")
+    assert code == cli.EXIT_OK
+    return inputs
+
+
+def _hostile_argv(command: str, inputs: str, tmp: str, draw) -> list[str]:
+    if command == "predict":  # its flags name files, so wrong files are its hostile values
+        files = st.sampled_from(["model.json", "manifest.json", "task0.csv", "task1.csv", "absent"])
+        model = draw(st.just("model.json") | files)
+        data = draw(st.sampled_from(["task0.csv", "task1.csv"]) | files)
+        task = draw(st.lists(st.sampled_from(["task0", "task1", "x", ""]), max_size=1))
+        return [
+            "predict", "--out", os.path.join(tmp, "out"), "--model", os.path.join(inputs, model),
+            "--data", os.path.join(inputs, data), *(("--task", *task) if task else ()),
+        ]
+    options = command_options(command)
+    argv = [command, "--out", os.path.join(tmp, "out")]
+    if command != "synth":
+        keys = {opt.key for opt in options} | {"max_dept"}
+        config = {k: v for k, v in SMALL_BUDGETS.items() if k in keys}
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True)):
+            config[key] = draw(st.sampled_from(CONFIG_JSON[key]) | st.sampled_from(HOSTILE_JSON))
+        with open(os.path.join(tmp, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        argv += ["--manifest", os.path.join(inputs, "manifest.json"),
+                 "--config", os.path.join(tmp, "config.json")]
+    flags = [opt.flag for opt in options if opt.flag]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4, unique=True)):
+        argv += [flag, draw(FLAG_TEXT[flag])]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_hostile_option_values_exit_with_a_documented_code(data, hostile_inputs):
+    command = data.draw(st.sampled_from(["fit", "path", "stability", "synth", "predict"]))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pathsweep, "DOWNSTREAM_ROUNDS", (1, 2))
+        argv = _hostile_argv(command, hostile_inputs, tmp, data.draw)
+        with contextlib.redirect_stderr(err):
+            code = exit_code(*argv)
+        wrote = os.path.exists(os.path.join(tmp, "out"))
+    message = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERICAL), (argv, message)
+    assert "Traceback" not in message, (argv, message)
+    assert wrote == (code == cli.EXIT_OK), (argv, code, message)

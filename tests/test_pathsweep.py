@@ -41,6 +41,9 @@ class TestLogGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="n_points"):
             log_grid(n_points=1)
+        assert len(log_grid(n_points=pathsweep.MAX_GRID_POINTS)) == pathsweep.MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=r"n_points must be in \[2, 1000\], got 1001"):
+            log_grid(n_points=pathsweep.MAX_GRID_POINTS + 1)
         with pytest.raises(ValueError, match="base"):
             log_grid(base=1.0)
         for base in (math.inf, math.nan):

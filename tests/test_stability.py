@@ -1,4 +1,4 @@
-"""Stability statistics: point estimates, variances, tests, correlations."""
+"""Stability statistics: point estimates, variances, tests."""
 
 import csv
 import math
@@ -14,15 +14,12 @@ from bouts.stability import (
     NORMALIZED,
     PAPER_FORMULA,
     SelectionMatrix,
-    _average_ranks,
     cohens_d,
     make_report,
     selection_replicates,
-    spearman,
     stability,
     stability_ci,
     stability_variance,
-    universal_correlation_matrix,
     ztest,
 )
 from bouts.synth import SynthSpec, generate
@@ -190,78 +187,6 @@ class TestReport:
         assert report.ci_low <= report.phi <= report.ci_high
         assert report.mean_features_selected == 1.5
         assert report.to_dict()["variant"] == PAPER_FORMULA
-
-
-class TestSpearman:
-    def test_monotone_and_reversed(self):
-        assert spearman([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == pytest.approx(1.0)
-        assert spearman([1.0, 2.0, 3.0], [30.0, 20.0, 10.0]) == pytest.approx(-1.0)
-
-    def test_frozen_value_and_rank_invariance(self):
-        x = [1.0, 2.0, 3.0, 4.0, 5.0]
-        y = [1.0, 3.0, 2.0, 5.0, 4.0]
-        assert spearman(x, y) == pytest.approx(0.8)
-        assert spearman(x, np.exp(y)) == pytest.approx(0.8)
-
-    def test_average_ranks_on_ties(self):
-        # Ranks (1.5, 1.5, 3) vs (1, 2, 3): correlation sqrt(3)/2.
-        assert spearman([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]) == pytest.approx(math.sqrt(3) / 2)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.sampled_from([-1.0, 0.0, 2.5]) | st.floats(allow_nan=False), min_size=1, max_size=40
-        )
-    )
-    def test_average_ranks_match_definition(self, values):
-        # Ties are drawn often: about half the elements come from a three-value pool.
-        x = np.asarray(values)
-        expected = [1 + np.sum(x < v) + (np.sum(x == v) - 1) / 2 for v in x]
-        np.testing.assert_array_equal(_average_ranks(x), expected)
-
-    def test_errors(self):
-        with pytest.raises(NumericalError, match="constant"):
-            spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="equal-length"):
-            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
-        with pytest.raises(DataError, match="length >= 2"):
-            spearman([1.0], [1.0])
-        with pytest.raises(DataError, match="NaN"):
-            spearman([1.0, math.nan, 2.0], [1.0, 2.0, 3.0])
-
-
-def make_task(name, X, names):
-    X = np.asarray(X, dtype=float)
-    return TaskDataset(
-        name=name,
-        feature_names=names,
-        X=X,
-        y=np.zeros(X.shape[0]),
-        sample_ids=[f"{name}-{i}" for i in range(X.shape[0])],
-    )
-
-
-class TestUniversalCorrelationMatrix:
-    def test_mean_absolute_rank_correlation(self):
-        # task1 defines a, b with |rho| = 0.6; task2 has a, b with |rho| = 1
-        # and c correlating sqrt(3)/2 with a.
-        t1 = make_task("t1", np.column_stack([[1, 2, 3, 4], [2, 1, 4, 3]]), ["a", "b"])
-        t2 = make_task(
-            "t2", np.column_stack([[1, 2, 3], [3, 2, 1], [1, 2, 2]]), ["a", "b", "c"]
-        )
-        mat = universal_correlation_matrix([t1, t2], ["a", "b", "c", "ghost"])
-        assert mat.shape == (4, 4)
-        np.testing.assert_allclose(np.diag(mat), 1.0)
-        assert mat[0, 1] == pytest.approx((0.6 + 1.0) / 2.0)
-        assert mat[0, 2] == pytest.approx(math.sqrt(3) / 2)
-        assert mat[1, 2] == pytest.approx(math.sqrt(3) / 2)  # b vs c, task2 only
-        assert np.isnan(mat[0, 3]) and np.isnan(mat[3, 1])
-        np.testing.assert_allclose(mat, mat.T, equal_nan=True)
-
-    def test_constant_columns_do_not_count(self):
-        t1 = make_task("t1", np.column_stack([[1, 2, 3], [5, 5, 5]]), ["a", "b"])
-        mat = universal_correlation_matrix([t1], ["a", "b"])
-        assert np.isnan(mat[0, 1])
 
 
 def bit_design(n_features, reps):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bouts.data import load_manifest
-from bouts.errors import DataError
 from bouts.synth import SynthSpec, generate, write_outputs
 
 
@@ -51,25 +50,25 @@ class TestSpecValidation:
     def test_per_task_sample_counts(self):
         spec = base_spec(n_samples=[10, 20])
         assert spec.n_samples == [10, 20]
-        with pytest.raises(DataError, match="n_samples"):
+        with pytest.raises(ValueError, match="n_samples"):
             base_spec(n_samples=[10])
-        with pytest.raises(DataError, match="n_samples"):
+        with pytest.raises(ValueError, match="n_samples"):
             base_spec(n_samples=0)
 
     def test_task_specific_shape(self):
-        with pytest.raises(DataError, match="one index set per task"):
+        with pytest.raises(ValueError, match="one index set per task"):
             base_spec(task_specific=[[2]])
 
     def test_overlap_with_universal_rejected(self):
-        with pytest.raises(DataError, match="task 1.*overlap the universal set"):
+        with pytest.raises(ValueError, match="task 1.*overlap the universal set"):
             base_spec(task_specific=[[2], [1]])
 
     def test_out_of_range_indices(self):
-        with pytest.raises(DataError, match="indices must lie"):
+        with pytest.raises(ValueError, match="indices must lie"):
             base_spec(universal=[0, 99])
 
     def test_specific_feature_in_every_task_rejected(self):
-        with pytest.raises(DataError, match="appear in every task"):
+        with pytest.raises(ValueError, match="appear in every task"):
             base_spec(task_specific=[[2, 4], [3, 4]])
 
     def test_single_task_may_have_specific_features(self):
@@ -77,24 +76,24 @@ class TestSpecValidation:
         assert spec.task_specific == [[2]]
 
     def test_planted_must_leave_nuisance_room(self):
-        with pytest.raises(DataError, match="room for nuisance"):
+        with pytest.raises(ValueError, match="room for nuisance"):
             base_spec(n_features=4)
 
     def test_sign_values(self):
         spec = base_spec(output_sign=[1, -1])
         assert spec.output_sign == [1, -1]
-        with pytest.raises(DataError, match="output_sign"):
+        with pytest.raises(ValueError, match="output_sign"):
             base_spec(output_sign=[1, 0])
-        with pytest.raises(DataError, match="output_sign"):
+        with pytest.raises(ValueError, match="output_sign"):
             base_spec(output_sign=[1])
 
     def test_noise_rho_nonlinearity(self):
         for sigma in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(DataError, match="noise_sigma"):
+            with pytest.raises(ValueError, match="noise_sigma"):
                 base_spec(noise_sigma=sigma)
-        with pytest.raises(DataError, match="correlation_rho"):
+        with pytest.raises(ValueError, match="correlation_rho"):
             base_spec(correlation_rho=1.0)
-        with pytest.raises(DataError, match="nonlinearity"):
+        with pytest.raises(ValueError, match="nonlinearity"):
             base_spec(nonlinearity="cubic")
 
     def test_feature_names_are_zero_padded(self):
