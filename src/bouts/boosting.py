@@ -177,12 +177,17 @@ class BoutsModel:
             raise DataError(
                 f"expected {len(self.feature_names)} feature columns, got shape {X.shape}"
             )
-        out = np.full(X.shape[0], self.f0[t])
+        used = sorted(self.universal_feature_indices | self.task_feature_indices(t))
+        return self.predict_columns(t, dict(zip(used, X.T[used])), len(X))
+
+    def predict_columns(self, t: int, XT, n_rows: int) -> np.ndarray:
+        """``predict`` on feature-major columns: ``XT[f]`` is feature f of every row."""
+        out, leaves, nans = np.full(n_rows, self.f0[t]), np.empty(n_rows), {}
         beta = self.config.learning_rate
         for mtree in self.universal_trees:
-            out += beta * mtree.predict(t, X)
+            out += beta * mtree.route(t, XT, nans, leaves)
         for tree in self.task_trees[t]:
-            out += beta * tree.predict(0, X)
+            out += beta * tree.route(0, XT, nans, leaves)
         return out
 
     def to_dict(self) -> dict:

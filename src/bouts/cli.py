@@ -349,12 +349,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for flag, values in per_task.items():
         if values is not None and len(values) != tasks:
             raise ValueError(f"{flag} has {len(values)} entries for --tasks {tasks}")
-    universal = cfg["universal"] if "universal" in cfg else list(range(cfg["n_universal"]))
+    # A count lists no index past the first 6 at or above d: any such index is refused.
+    universal = cfg["universal"] if "universal" in cfg else list(range(d + 6)[: cfg["n_universal"]])
     if "specific" in cfg:
         task_specific = cfg["specific"]
     else:
         base, k = len(universal), cfg["n_specific"]
-        task_specific = [list(range(base + t * k, base + (t + 1) * k)) for t in range(tasks)]
+        span = range(base, max(base, d) + 6)
+        task_specific = [list(span[t * k : (t + 1) * k]) for t in range(tasks)]
     planted = {*universal, *(f for part in task_specific for f in part)}
     outside = sorted(f for f in planted if not 0 <= f < d)
     n_planted = len(set(universal)) + sum(map(len, task_specific))  # as SynthSpec counts them
@@ -364,7 +366,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "--specific" if "specific" in cfg else f"--n-specific {cfg['n_specific']}",
         ))
         if outside:
-            what = f"planted feature indices {outside} of {flags} outside [0, {d})"
+            shown = ", ".join(map(str, outside[:5])) + (", ..." if len(outside) > 5 else "")
+            what = f"planted feature indices [{shown}] of {flags} outside [0, {d})"
         else:
             what = f"no nuisance feature beside the {n_planted} planted ones of {flags}"
         raise ValueError(f"--features {d} leaves {what}")
@@ -422,20 +425,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     t = model.task_names.index(task_name)
     standardizer = standardizers[t]
 
-    # Only the columns task t's trees split on are parsed; the model's others read as NaN.
+    # Only the columns task t's trees split on are parsed, standardized and routed on.
     used = sorted(model.universal_feature_indices | model.task_feature_indices(t))
     task = load_task_csv(args.data, task_name, {model.feature_names[j] for j in used})
     pos = {f: i for i, f in enumerate(task.feature_names)}
     missing = [f for f in model.feature_names if f not in pos]
     if missing:
         raise DataError(f"{args.data}: lacks feature column {missing[0]!r} of {args.model}")
-    X = task.X[:, [pos[f] for f in model.feature_names]]
+    X = task.X.T[[pos[model.feature_names[j]] for j in used]].T
     # A column the model never splits on may hold missing cells; the others may not.
-    rows, cols = np.nonzero(np.isnan(X[:, used]))
+    rows, cols = np.nonzero(np.isnan(X))
     if len(rows):
         sid, column = task.sample_ids[rows[0]], model.feature_names[used[cols[0]]]
         raise DataError(f"{args.data}: sample {sid!r}, column {column!r}: missing value")
-    y_pred_std = model.predict(t, standardizer.transform_X(X))
+    XT = standardizer.transform_X(X, used).T
+    y_pred_std = model.predict_columns(t, dict(zip(used, XT)), len(X))
     y_pred = standardizer.inverse_y(y_pred_std)
 
     rows = zip(task.sample_ids, task.y.tolist(), y_pred.tolist())

@@ -409,8 +409,8 @@ class Standardizer:
     y_mean: float
     y_std: float
 
-    def transform_X(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.x_mean) / self.x_std
+    def transform_X(self, X: np.ndarray, cols=slice(None)) -> np.ndarray:
+        return (X - self.x_mean[cols]) / self.x_std[cols]
 
     def transform_y(self, y: np.ndarray) -> np.ndarray:
         return (y - self.y_mean) / self.y_std

@@ -18,7 +18,9 @@ layouts: per-task lists for universal trees and scalars for T=1 stage-2 trees.
 The grower takes each task's prepared root, prepares every node below it once
 with ``SortedRows.subset`` (an integer sort of the root's ranks of the node's
 rows), routes the node's rows on those, and returns the leaf each training row
-reached, so boosting never routes its own training rows.
+reached, so boosting never routes its own training rows.  Other rows go through
+``MultitaskTree.route``: on feature-major columns, a node compares its whole
+column with its threshold once and hands each child the mask of its rows.
 """
 
 from __future__ import annotations
@@ -170,29 +172,32 @@ class MultitaskTree:
         return self.n_nodes == 1 and self.is_leaf(0)
 
     def predict(self, task: int, X: np.ndarray) -> np.ndarray:
-        """Predictions of this tree's component for one task; ties go left.
-
-        A NaN in a column that some row is routed on raises NumericalError.
-        """
+        """This tree's predictions for one task: ``route`` on the columns of ``X``."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        feature, left, right = self.feature, self.left, self.right
-        thresholds, values = self.thresholds[:, task], self.values[:, task]
-        stack = [(0, np.arange(X.shape[0]))]
+        return self.route(task, X.T, {}, np.empty(len(X)))
+
+    def route(self, task: int, XT, nans: dict, out: np.ndarray) -> np.ndarray:
+        """Write into ``out`` the leaf value for ``task`` that each row reaches:
+        ``XT[f]`` holds feature f of every row, and ties go left.  A NaN raises
+        NumericalError only if a row that reaches a split on its column holds
+        it.  ``nans`` caches each column's NaN mask (None: no NaN) across calls.
+        """
+        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
+        thresholds, values = self.thresholds[:, task].tolist(), self.values[:, task].tolist()
+        stack = [(0, True)]  # (node, mask of the rows that reach it; True: every row)
         while stack:
-            i, idx = stack.pop()
-            if idx.size == 0:
-                continue
+            i, reach = stack.pop()
             f = feature[i]
             if f == self.LEAF:
-                out[idx] = values[i]
+                np.copyto(out, values[i], where=reach)
                 continue
-            col = X[idx, f]
-            if np.isnan(col).any():
+            col = XT[f]
+            if f not in nans:  # the column's NaN mask, kept only if it holds a NaN
+                nans[f] = nan if (nan := np.isnan(col)).any() else None
+            if nans[f] is not None and (nans[f] & reach).any():
                 raise NumericalError(f"NaN at feature index {f} during prediction")
             go_left = col <= thresholds[i]
-            stack.append((left[i], idx[go_left]))
-            stack.append((right[i], idx[~go_left]))
+            stack += ((right[i], reach > go_left), (left[i], reach & go_left))
         return out
 
     def to_dict(self, scalar: bool = False) -> dict:

@@ -160,8 +160,8 @@ def downstream_scores(
             naes.append(np.abs(yte))
             continue
         Xtr = task.X[np.ix_(split.train[t], cols)]
-        # Validation rows, then test rows: each tree routes both at once.
-        Xvt = task.X[np.ix_(np.concatenate([split.val[t], split.test[t]]), cols)]
+        # Validation rows, then test rows, feature-major: each tree routes both at once.
+        XvtT = task.X.T[np.ix_(cols, np.concatenate([split.val[t], split.test[t]]))]
         n_va = len(yva)
         best = None
         for depth in DOWNSTREAM_DEPTHS:
@@ -178,11 +178,11 @@ def downstream_scores(
                 Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_round=on_round
             )
             f_tr_at[len(trees)] = f_tr
-            f_vt = np.zeros(len(Xvt))
+            f_vt, leaves, nans = np.zeros(XvtT.shape[1]), np.empty(XvtT.shape[1]), {}
             done = 0
             for mark in sorted({min(r, len(trees)) for r in DOWNSTREAM_ROUNDS}):
                 for tree in trees[done:mark]:
-                    f_vt += beta * tree.predict(0, Xvt)
+                    f_vt += beta * tree.route(0, XvtT, nans, leaves)
                 done = mark
                 fit_error = yva - f_vt[:n_va] if n_va else ytr - f_tr_at[mark]
                 ev = explained_variance(ytr, f_tr_at[mark])

@@ -22,10 +22,10 @@ from bouts.boosting import (
 )
 from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset, overlap_split
 from bouts.errors import DataError, NumericalError
-from bouts.multitask import MultitaskTree
+from bouts.multitask import MultitaskTree, grow_multitask_tree
 from bouts.stability import selection_replicates
 from bouts.synth import SynthSpec, generate
-from bouts.trees import TreeParams
+from bouts.trees import TreeParams, sort_rows
 
 STUMPS = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=1e-7)
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -402,7 +402,126 @@ class TestTrainingRowsAreNotRouted:
             np.testing.assert_array_equal(snapshot, routed)
 
 
+def walk(tree, t, X):
+    """Task t's prediction of each row of X, one row at a time; ties go left."""
+    walked = []
+    for row in X:
+        i = 0
+        while not tree.is_leaf(i):
+            i = tree.left[i] if row[tree.feature[i]] <= tree.thresholds[i][t] else tree.right[i]
+        walked.append(tree.values[i][t])
+    return np.array(walked)
+
+
+def hand_tree(n_tasks):
+    """Root on feature 0 (thresholds 0, 1, -1, ... per task); its left child
+    splits on feature 1 at 0; the other three nodes are leaves."""
+    zeros, nans, LEAF = [0.0] * n_tasks, [np.nan] * n_tasks, MultitaskTree.LEAF
+    leaves = [
+        (LEAF, LEAF, LEAF, zeros, [v + t for t in range(n_tasks)], zeros, zeros)
+        for v in (10.0, 20.0, 30.0)
+    ]
+    return MultitaskTree.of_nodes([
+        (0, 1, 4, [0.0, 1.0, -1.0][:n_tasks], nans, zeros, zeros),
+        (1, 2, 3, zeros, nans, zeros, zeros),
+        *leaves,
+    ])
+
+
+def grown_tree(n_tasks, seed=3):
+    """A depth-3 tree grown on random rows of 6 features for each of ``n_tasks`` tasks."""
+    rng = np.random.default_rng(seed)
+    Xs = [rng.normal(size=(60, 6)) for _ in range(n_tasks)]
+    ys = [X[:, 0] - X[:, 1] * X[:, 2] + rng.normal(size=60) for X in Xs]
+    roots = [sort_rows(np.ascontiguousarray(X.T)) for X in Xs]
+    tree, _ = grow_multitask_tree(roots, ys, params=TreeParams(max_depth=3, min_samples_leaf=2))
+    assert tree.n_nodes >= 7
+    return tree
+
+
+@pytest.fixture(params=[1, 3], ids=["T=1", "T=3"])
+def trees(request):
+    return [hand_tree(request.param), grown_tree(request.param)]
+
+
 class TestFlatTreeRouting:
+    def test_a_value_equal_to_a_threshold_goes_left(self, trees):
+        rng = np.random.default_rng(5)
+        for tree in trees:
+            f0 = tree.feature[0]
+            for t in range(tree.n_tasks):
+                # Each split-on cell is a threshold of its column, nudged or not, so
+                # rows tie at nodes they reach.
+                X = rng.normal(size=(300, 6))
+                for f in tree.features_used:
+                    at = tree.thresholds[tree.feature == f, t]
+                    X[:, f] = rng.choice(at, 300) + rng.choice([0.0, 0.0, -0.5, 0.5], 300)
+                np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+                tied = X[X[:, f0] == tree.thresholds[0][t]]
+                assert len(tied)
+                below = tied.copy()
+                below[:, f0] = np.nextafter(tree.thresholds[0][t], -np.inf)
+                np.testing.assert_array_equal(tree.predict(t, tied), tree.predict(t, below))
+
+    def test_nan_held_only_by_rows_that_never_reach_its_split_predicts(self, trees):
+        tree = trees[0]  # feature 1 is split on only below the root's left branch
+        for t in range(tree.n_tasks):
+            X = np.array([[5.0, np.nan], [-5.0, 0.5], [-5.0, -0.5], [5.0, 1.0]])
+            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+        # Task 1 sends x0 = 0.5 left (0.5 <= 1) to the NaN; tasks 0 and 2 send it right.
+        X = np.array([[0.5, np.nan]])
+        for t in range(tree.n_tasks):
+            if t == 1:
+                with pytest.raises(NumericalError, match="feature index 1 "):
+                    tree.predict(t, X)
+            else:
+                np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+
+    def test_nan_in_a_row_that_reaches_its_split_raises(self, trees):
+        tree = trees[0]
+        for t in range(tree.n_tasks):
+            X = np.array([[5.0, 0.0], [-5.0, np.nan], [5.0, 0.0]])
+            with pytest.raises(NumericalError, match="feature index 1 "):
+                tree.predict(t, X)
+            X = np.array([[5.0, 0.0], [np.nan, 0.0]])
+            with pytest.raises(NumericalError, match="feature index 0 "):
+                tree.predict(t, X)
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_zero_and_one_row(self, trees, n_rows):
+        X = np.random.default_rng(6).normal(size=(n_rows, 6))
+        for tree in trees:
+            for t in range(tree.n_tasks):
+                got = tree.predict(t, X)
+                assert got.shape == (n_rows,)
+                np.testing.assert_array_equal(got, walk(tree, t, X))
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        X = np.random.default_rng(6).normal(size=(n_rows, len(model.feature_names)))
+        want, beta = np.full(n_rows, model.f0[0]), model.config.learning_rate
+        for tree in model.universal_trees + model.task_trees[0]:
+            want += beta * walk(tree, 0, X)
+        np.testing.assert_array_equal(model.predict(0, X), want)
+
+    def test_memory_layout_does_not_change_the_bits(self, trees):
+        X = np.random.default_rng(7).normal(size=(200, 6))
+        wide = np.zeros((200, 12))
+        wide[:, 1::2] = X
+        layouts = [np.asfortranarray(X), wide[:, 1::2]]
+        for tree in trees:
+            for t in range(tree.n_tasks):
+                want = tree.predict(t, X).tobytes()
+                assert all(tree.predict(t, other).tobytes() == want for other in layouts)
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        X = np.random.default_rng(8).normal(size=(200, len(model.feature_names)))
+        wide = np.zeros((200, 2 * X.shape[1]))
+        wide[:, ::2] = X
+        for t in range(model.n_tasks):
+            want = model.predict(t, X).tobytes()
+            for other in (np.asfortranarray(X), wide[:, ::2]):
+                assert model.predict(t, other).tobytes() == want
+
     def test_predict_equals_a_walk_one_row_at_a_time(self):
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
             model = BoutsModel.from_dict(json.load(fh)["model"])
@@ -414,14 +533,7 @@ class TestFlatTreeRouting:
             X = rng.normal(size=(200, len(model.feature_names)))
             for row, i in enumerate(np.flatnonzero(tree.feature != tree.LEAF)):
                 X[row, tree.feature[i]] = tree.thresholds[i][t]  # a tie, which goes left
-            walked = []
-            for row in X:
-                i = 0
-                while not tree.is_leaf(i):
-                    go_left = row[tree.feature[i]] <= tree.thresholds[i][t]
-                    i = tree.left[i] if go_left else tree.right[i]
-                walked.append(tree.values[i][t])
-            np.testing.assert_array_equal(tree.predict(t, X), walked)
+            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
 
     def test_nan_in_a_split_column_raises(self):
         with open(os.path.join(DATA_DIR, "model.json")) as fh:

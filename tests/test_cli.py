@@ -20,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import jsonschema
 import numpy as np
@@ -57,6 +58,13 @@ PINNED_FIT_RUNS = {
         "--criterion", "variance", "--min-samples-leaf", "1",
     ),
 }
+
+# `bouts path`'s path.json and selected_lambda.json on that set, written before
+# predictions were routed one boolean pass per node over feature-major columns.
+PINNED_PATH_DIR = os.path.join(DATA_DIR, "path_pinned")
+PINNED_PATH_ARGS = (
+    "--grid-points", "3", "--rounds-universal", "3", "--rounds-task", "3", "--jobs", "1",
+)
 
 
 def run(*args: str) -> int:
@@ -245,6 +253,14 @@ class TestFitCommand:
         assert code == cli.EXIT_OK
         for name in ("model.json", "selected_features.json"):
             want = os.path.join(PINNED_FIT_DIR, run_name, name)
+            assert read_bytes(os.path.join(out, name)) == read_bytes(want), name
+
+    def test_path_reproduces_pinned_artifacts(self, tmp_path):
+        out = str(tmp_path / "path")
+        manifest = os.path.join(PINNED_DIR, "manifest.json")
+        assert run("path", "--manifest", manifest, "--out", out, *PINNED_PATH_ARGS) == cli.EXIT_OK
+        for name in ("path.json", "selected_lambda.json"):
+            want = os.path.join(PINNED_PATH_DIR, name)
             assert read_bytes(os.path.join(out, name)) == read_bytes(want), name
 
     def test_zero_universal_rounds_selects_no_universal(self, synth_dir, tmp_path):
@@ -962,6 +978,16 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert all(text in err for text in ("--features", *named)) and "Traceback" not in err
         assert not out.exists()
+
+    def test_huge_planted_count_exits_usage_at_once(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = run("synth", "--out", str(out), "--n-universal", "1000000", "--features", "50")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE and elapsed < 0.5, elapsed
+        assert len(err) < 500 and "--n-universal 1000000" in err and "--features 50" in err, err
+        assert "[50, 51, 52, 53, 54, ...]" in err and not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "stability"])
     def test_short_task_penalty_list_exits_usage_before_any_tree(
