@@ -185,9 +185,9 @@ class BoutsModel:
         out, leaves, nans = np.full(n_rows, self.f0[t]), np.empty(n_rows), {}
         beta = self.config.learning_rate
         for mtree in self.universal_trees:
-            out += beta * mtree.route(t, XT, nans, leaves)
+            out += np.multiply(mtree.route(t, XT, nans, leaves), beta, out=leaves)
         for tree in self.task_trees[t]:
-            out += beta * tree.route(0, XT, nans, leaves)
+            out += np.multiply(tree.route(0, XT, nans, leaves), beta, out=leaves)
         return out
 
     def to_dict(self) -> dict:
@@ -331,26 +331,9 @@ _shared: tuple = ()
 
 
 def _start_worker(shared: tuple) -> None:
-    """Pool initializer: keep ``shared`` for the calls, and keep freed heap.
-
-    Every node's split scan allocates and frees a few hundred KB of
-    temporaries.  In a new worker, glibc's default trim threshold hands the
-    freed top of the heap back to the OS after a scan, and the next scan
-    faults it in again.  On a 2-core x86-64 host, 4 ``stability`` replicates
-    of a 3-task set (100, 1000 and 1000 rows of 30 features) on 2 workers
-    took about 200 000 minor faults and 0.5 s of system time, against 7 400
-    and 0.05 s with a 64 MB threshold.  Where the C library has no
-    ``mallopt`` the threshold stays as it is.
-    """
-    import ctypes
-
+    """Pool initializer: keep ``shared`` for the calls."""
     global _shared
     _shared = shared
-    M_TRIM_THRESHOLD = -1
-    try:
-        ctypes.CDLL(None).mallopt(M_TRIM_THRESHOLD, 64 << 20)
-    except (AttributeError, OSError, TypeError):
-        pass
 
 
 def _call_with_shared(fn: Callable, item):

@@ -237,7 +237,7 @@ def _plain_commas(path: str) -> Optional[int]:
             if start + limit < len(chunk):
                 return None
             start -= len(chunk)
-            commas += chunk.count(b",")
+            commas += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord(",")))
     return commas
 
 

@@ -20,7 +20,8 @@ with ``SortedRows.subset`` (an integer sort of the root's ranks of the node's
 rows), routes the node's rows on those, and returns the leaf each training row
 reached, so boosting never routes its own training rows.  Other rows go through
 ``MultitaskTree.route``: on feature-major columns, a node compares its whole
-column with its threshold once and hands each child the mask of its rows.
+column with its threshold once and hands each child the mask of its rows, and
+each leaf writes its value under its mask with one exact masked store.
 """
 
 from __future__ import annotations
@@ -189,7 +190,10 @@ class MultitaskTree:
             i, reach = stack.pop()
             f = feature[i]
             if f == self.LEAF:
-                np.copyto(out, values[i], where=reach)
+                if reach is True:  # the root is a leaf
+                    out.fill(values[i])
+                else:
+                    np.putmask(out, reach, values[i])
                 continue
             col = XT[f]
             if f not in nans:  # the column's NaN mask, kept only if it holds a NaN
@@ -277,10 +281,12 @@ def grow_multitask_tree(
     so a caller that grows many trees on the same rows prepares them once.
     A node position turns into a leaf (for every task) when the depth limit
     is hit, when ANY task has too few samples to split, or when no feature
-    clears the maximin bar.  Leaf values are per-task target means.  A
-    feature introduced at an ancestor node counts as used for every
-    descendant split, so ``lambda_u`` is charged once per feature the tree
-    adds to the model.
+    clears the maximin bar.  Leaf values are per-task target means.  Nodes
+    are grown depth first, left subtree before right, and a feature counts as
+    used for every split grown after the one that introduced it, wherever in
+    the tree that split is: so the right subtree also splits for free on
+    features the left subtree added, and ``lambda_u`` is charged once per
+    feature the tree adds to the model.
 
     Returns the tree and, per task, the index of the leaf each training row
     reaches.

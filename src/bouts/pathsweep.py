@@ -182,7 +182,7 @@ def downstream_scores(
             done = 0
             for mark in sorted({min(r, len(trees)) for r in DOWNSTREAM_ROUNDS}):
                 for tree in trees[done:mark]:
-                    f_vt += beta * tree.route(0, XvtT, nans, leaves)
+                    f_vt += np.multiply(tree.route(0, XvtT, nans, leaves), beta, out=leaves)
                 done = mark
                 fit_error = yva - f_vt[:n_va] if n_va else ytr - f_tr_at[mark]
                 ev = explained_variance(ytr, f_tr_at[mark])

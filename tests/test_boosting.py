@@ -522,6 +522,43 @@ class TestFlatTreeRouting:
             for other in (np.asfortranarray(X), wide[:, ::2]):
                 assert model.predict(t, other).tobytes() == want
 
+    @staticmethod
+    def route_over(tree, t, X, fill):
+        """``tree.route`` of X's rows into a buffer that holds ``fill`` beforehand."""
+        return tree.route(t, np.ascontiguousarray(X.T), {}, np.full(len(X), fill))
+
+    def test_a_negative_zero_leaf_keeps_its_sign_bit(self):
+        # Summing `reach * value` over the leaves would turn -0.0 into +0.0.
+        zeros, LEAF = [0.0], MultitaskTree.LEAF
+        tree = MultitaskTree.of_nodes([
+            (0, 1, 2, [0.0], [np.nan], zeros, zeros),
+            (LEAF, LEAF, LEAF, zeros, [-0.0], zeros, zeros),
+            (LEAF, LEAF, LEAF, zeros, [1.0], zeros, zeros),
+        ])
+        X = np.array([[-1.0], [1.0], [0.0], [2.0]])
+        got = self.route_over(tree, 0, X, 7.0)
+        np.testing.assert_array_equal(np.signbit(got), [True, False, True, False])
+        np.testing.assert_array_equal(got, [0.0, 1.0, 0.0, 1.0])
+
+    def test_a_leaf_no_row_reaches_writes_nothing(self):
+        # Every row ends in the first leaf written; the two leaves written after it
+        # (the left child's right leaf, then the root's right leaf) reach no row.
+        X = np.full((50, 6), -5.0)
+        for n_tasks in (1, 3):
+            tree = hand_tree(n_tasks)
+            for t in range(n_tasks):
+                got = self.route_over(tree, t, X, np.nan)
+                assert got.tobytes() == np.full(50, 10.0 + t).tobytes()
+
+    def test_a_one_leaf_tree_fills_every_row(self):
+        zeros, LEAF = [0.0] * 3, MultitaskTree.LEAF
+        tree = MultitaskTree.of_nodes([(LEAF, LEAF, LEAF, zeros, [-0.0, 2.5, -3.0], zeros, zeros)])
+        X = np.random.default_rng(9).normal(size=(40, 6))
+        for t, value in enumerate([-0.0, 2.5, -3.0]):
+            got = self.route_over(tree, t, X, np.nan)
+            assert got.tobytes() == np.full(40, value).tobytes()
+            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+
     def test_predict_equals_a_walk_one_row_at_a_time(self):
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
             model = BoutsModel.from_dict(json.load(fh)["model"])

@@ -506,6 +506,28 @@ class TestModelFile:
         again = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
         assert again.encode() == read_bytes(model_path)
 
+    @staticmethod
+    def predict_without_routing(model_path, synth_dir, tmp_path, monkeypatch) -> int:
+        """``bouts predict`` with ``MultitaskTree.route``, the only router, disabled."""
+
+        def no_routing(*args, **kwargs):
+            raise AssertionError("a malformed model reached prediction")
+
+        monkeypatch.setattr(MultitaskTree, "route", no_routing)
+        return run(
+            "predict", "--model", str(model_path),
+            "--data", os.path.join(synth_dir, "task0.csv"),
+            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+        )
+
+    def test_an_intact_model_reaches_the_disabled_router(
+        self, synth_dir, fit_dir, tmp_path, monkeypatch
+    ):
+        # The guard below is live: a model that passes every check is routed.
+        model_path = os.path.join(fit_dir, "model.json")
+        with pytest.raises(AssertionError, match="reached prediction"):
+            self.predict_without_routing(model_path, synth_dir, tmp_path, monkeypatch)
+
     @pytest.mark.parametrize("case", sorted(MANGLED_MODELS))
     def test_mangled_model_exits_data(
         self, case, synth_dir, fit_dir, tmp_path, capsys, monkeypatch
@@ -514,16 +536,7 @@ class TestModelFile:
         replaced = MANGLED_MODELS[case](bundle)
         bad = tmp_path / "model.json"
         bad.write_text(replaced if isinstance(replaced, str) else json.dumps(bundle))
-
-        def no_routing(*args, **kwargs):
-            raise AssertionError("a malformed model reached prediction")
-
-        monkeypatch.setattr(MultitaskTree, "predict", no_routing)
-        code = run(
-            "predict", "--model", str(bad),
-            "--data", os.path.join(synth_dir, "task0.csv"),
-            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
-        )
+        code = self.predict_without_routing(bad, synth_dir, tmp_path, monkeypatch)
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert str(bad) in err
