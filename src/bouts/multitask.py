@@ -282,11 +282,10 @@ def grow_multitask_tree(
     A node position turns into a leaf (for every task) when the depth limit
     is hit, when ANY task has too few samples to split, or when no feature
     clears the maximin bar.  Leaf values are per-task target means.  Nodes
-    are grown depth first, left subtree before right, and a feature counts as
-    used for every split grown after the one that introduced it, wherever in
-    the tree that split is: so the right subtree also splits for free on
-    features the left subtree added, and ``lambda_u`` is charged once per
-    feature the tree adds to the model.
+    grow depth first, left subtree before right, and a feature counts as used
+    for every split grown after the one that added it, anywhere in the tree:
+    a right subtree splits for free on features its left sibling added.  So
+    ``lambda_u`` is charged once per feature the tree adds to the model.
 
     Returns the tree and, per task, the index of the leaf each training row
     reaches.
