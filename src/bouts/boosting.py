@@ -6,13 +6,16 @@ boosts each task independently for ``rounds_task`` rounds, charging
 ``lambda_task`` only for features outside the universal set.  Labels are
 assumed standardized, so the initial prediction is 0 and the implied
 coefficient mass after r accepted rounds is exactly beta * r.
+
+A fitted ``BoutsModel`` holds exactly what ``model.json`` holds; per-round
+numbers, such as the training MSE, come only through the ``on_round`` hooks.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,50 +77,45 @@ def _is_sequence(x) -> bool:
     return isinstance(x, (list, tuple))
 
 
-def _mse(residuals: np.ndarray) -> float:
-    return float(np.mean(residuals * residuals))
-
-
 def _boost(
     Xs: Sequence[np.ndarray],
     residuals: list[np.ndarray],
     rounds: int,
     learning_rate: float,
     lam: float,
-    used: set[int],
+    used: AbstractSet[int],
     params: TreeParams,
     on_round: Optional[RoundHook],
-) -> tuple[list[MultitaskTree], list[list[float]]]:
+) -> tuple[list[MultitaskTree], set[int]]:
     """The boosting loop of both stages, over one or more tasks.
 
     Grows up to ``rounds`` shared trees on the current ``residuals``,
-    updating them and ``used`` in place, and calls ``on_round`` (if given)
-    after each accepted round with the tree count, the live residuals and
-    the round's per-task update of the training predictions.  Returns the
-    accepted trees and the per-task training MSE after each.  A round
+    updating them in place, and calls ``on_round`` (if given) after each
+    accepted round with the tree count, the live residuals and the round's
+    per-task update of the training predictions.  Returns the accepted trees
+    and a new set: ``used`` plus every feature they split on.  A round
     producing a single leaf with every value ~0 is skipped; since nothing
     changed, every later round would repeat it, so the loop exits.
     """
+    used_now = set(used)
     if rounds <= 0:  # a stage switched off prepares nothing
-        return [], []
+        return [], used_now
     # X is the same in every round: prepare each task's root once.
     roots = [sort_rows(np.ascontiguousarray(X.T, dtype=np.float64)) for X in Xs]
     trees: list[MultitaskTree] = []
-    history: list[list[float]] = []
     for _ in range(rounds):
-        tree, leaf_of_row = grow_multitask_tree(roots, residuals, used, lam, params)
+        tree, leaf_of_row = grow_multitask_tree(roots, residuals, used_now, lam, params)
         if tree.is_stump_leaf and all(abs(v) <= DEGENERATE_TOL for v in tree.values[0]):
             break
         trees.append(tree)
-        used |= tree.features_used
+        used_now |= tree.features_used
         # The grower saw where each training row landed: no routing needed.
         steps = [learning_rate * tree.values[leaves, t] for t, leaves in enumerate(leaf_of_row)]
         for residual, step in zip(residuals, steps):
             residual -= step
-        history.append([_mse(r) for r in residuals])
         if on_round is not None:
             on_round(len(trees), residuals, steps)
-    return trees, history
+    return trees, used_now
 
 
 def fit_single_task(
@@ -126,25 +124,23 @@ def fit_single_task(
     rounds: int,
     learning_rate: float,
     lam: float = 0.0,
-    used: Optional[set[int]] = None,
+    used: Optional[AbstractSet[int]] = None,
     params: Optional[TreeParams] = None,
     on_round: Optional[RoundHook] = None,
-) -> tuple[list[MultitaskTree], set[int], list[float]]:
+) -> tuple[list[MultitaskTree], set[int]]:
     """Plain single-task gradient boosting on squared error.
 
-    Returns the accepted T=1 trees, the final used-feature set (a mutated
-    copy of ``used``), and the training MSE after each accepted round.
-    After each accepted round, ``on_round`` gets the tree count, ``[residual]``
+    Features in ``used`` split free of ``lam``.  Returns the accepted T=1
+    trees and a new set: ``used`` plus every feature they split on.  After
+    each accepted round, ``on_round`` gets the tree count, ``[residual]``
     and ``[step]``, the round's update of the training predictions
     (``learning_rate`` times each row's leaf).  Both arrays are live: copy
     what you keep.
     """
-    used_now = set(used) if used is not None else set()
     residuals = [np.array(y, dtype=np.float64)]
-    trees, history = _boost(
-        [X], residuals, rounds, learning_rate, lam, used_now, params or TreeParams(), on_round
+    return _boost(
+        [X], residuals, rounds, learning_rate, lam, used or (), params or TreeParams(), on_round
     )
-    return trees, used_now, [h[0] for h in history]
 
 
 @dataclass
@@ -157,8 +153,6 @@ class BoutsModel:
     universal_trees: list[MultitaskTree]
     task_trees: list[list[MultitaskTree]]  # T=1 trees
     f0: list[float]
-    universal_mse: list[list[float]] = field(default_factory=list)  # per round, per task
-    task_mse: list[list[float]] = field(default_factory=list)  # per task, per round
 
     @property
     def n_tasks(self) -> int:
@@ -168,7 +162,12 @@ class BoutsModel:
     def universal_feature_indices(self) -> set[int]:
         return set().union(*(tree.features_used for tree in self.universal_trees))
 
+    def _check_task(self, t: int) -> None:
+        if not 0 <= t < self.n_tasks:
+            raise IndexError(f"task index {t} out of range for a model of {self.n_tasks} tasks")
+
     def task_feature_indices(self, t: int) -> set[int]:
+        self._check_task(t)
         return set().union(*(tree.features_used for tree in self.task_trees[t]))
 
     def predict(self, t: int, X: np.ndarray) -> np.ndarray:
@@ -182,6 +181,7 @@ class BoutsModel:
 
     def predict_columns(self, t: int, XT, n_rows: int) -> np.ndarray:
         """``predict`` on feature-major columns: ``XT[f]`` is feature f of every row."""
+        self._check_task(t)
         out, leaves, nans = np.full(n_rows, self.f0[t]), np.empty(n_rows), {}
         beta = self.config.learning_rate
         for mtree in self.universal_trees:
@@ -255,37 +255,32 @@ def fit(
     """
     T = dataset.n_tasks
     lambda_tasks = config.task_lambdas(T)  # a bad list fails before any tree grows
-    Xs, ys = [], []
+    Xs, residuals = [], []
     for t, task in enumerate(dataset.tasks):
         idx = split.train[t]
         if len(idx) == 0:
             raise DataError(f"task {task.name!r}: empty training partition")
         Xs.append(task.X[idx])
-        ys.append(task.y[idx])
+        residuals.append(task.y[idx])  # index arrays select a copy
 
-    residuals = [y.copy() for y in ys]
-    universal_used: set[int] = set()
     beta = config.learning_rate
     cb = None
     if on_round is not None:
         cb = lambda b, res, _: on_round("universal", b, [r.copy() for r in res])
-    universal_trees, universal_mse = _boost(
-        Xs, residuals, config.rounds_universal, beta, config.lambda_u, universal_used,
-        config.tree, cb,
+    universal_trees, universal_used = _boost(
+        Xs, residuals, config.rounds_universal, beta, config.lambda_u, (), config.tree, cb
     )
 
     task_trees: list[list[MultitaskTree]] = []
-    task_mse: list[list[float]] = []
     for t in range(T):
         cb = None
         if on_round is not None:
             cb = lambda b, res, _, _t=t: on_round("task", (_t, b), res[0].copy())
-        trees, _, history = fit_single_task(
+        trees, _ = fit_single_task(
             Xs[t], residuals[t], config.rounds_task, beta, lambda_tasks[t], universal_used,
             config.tree, cb,
         )
         task_trees.append(trees)
-        task_mse.append(history)
 
     return BoutsModel(
         config=replace(config, tree=replace(config.tree)),
@@ -294,8 +289,6 @@ def fit(
         universal_trees=universal_trees,
         task_trees=task_trees,
         f0=[0.0] * T,
-        universal_mse=universal_mse,
-        task_mse=task_mse,
     )
 
 

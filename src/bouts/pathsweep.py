@@ -174,7 +174,7 @@ def downstream_scores(
                     f_tr_at[b] = f_tr.copy()
 
             params = replace(tree_params, max_depth=depth)
-            trees, _, _ = fit_single_task(
+            trees, _ = fit_single_task(
                 Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_round=on_round
             )
             f_tr_at[len(trees)] = f_tr

@@ -9,7 +9,9 @@ default; the plain form saturates near 1 whenever d >> selected count).
 Variance estimates use the delta method: Phi-hat is a smooth function of the
 per-row statistics, so v = (4/M^2) * sum_i (phi_i - mean(phi))^2 with phi_i
 the per-row influence values, the same quantity a row bootstrap of Z
-estimates.
+estimates.  Phi-hat and v are computed in one pass, from one computation of
+the per-feature selection rates p, the per-row counts k, their mean k-bar and
+the normalizer.
 """
 
 from __future__ import annotations
@@ -62,61 +64,44 @@ class SelectionMatrix:
         return self.feature_names, self.Z.astype(np.int64).tolist()
 
 
-def _check_variant(variant: str) -> None:
+def _estimate(matrix: SelectionMatrix, variant: str) -> tuple[float, float]:
+    """Phi-hat and its delta-method variance, from one pass over Z."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-
-
-def _sample_variances(Z: np.ndarray) -> np.ndarray:
-    M = Z.shape[0]
-    p = Z.mean(axis=0)
-    return M / (M - 1) * p * (1.0 - p)
-
-
-def stability(matrix: SelectionMatrix, variant: str = NORMALIZED) -> float:
-    """Mean selection-variance stability of the replicate matrix."""
-    _check_variant(variant)
-    Z = matrix.Z
-    d = matrix.n_features
-    mean_s2 = float(np.mean(_sample_variances(Z)))
-    if variant == PAPER_FORMULA:
-        return 1.0 - mean_s2
-    kbar = float(Z.sum(axis=1).mean())
-    denom = (kbar / d) * (1.0 - kbar / d)
-    if denom == 0.0:
-        raise NumericalError(
-            "normalized stability is undefined when every replicate selects "
-            "no features or all features"
-        )
-    return 1.0 - mean_s2 / denom
-
-
-def _influence(matrix: SelectionMatrix, variant: str) -> np.ndarray:
-    """Per-row influence values whose scaled variance estimates v(Phi-hat)."""
     Z = matrix.Z
     M, d = Z.shape
     p = Z.mean(axis=0)
     k = Z.sum(axis=1)
+    mean_s2 = float(np.mean(M / (M - 1) * p * (1.0 - p)))
     if variant == PAPER_FORMULA:
-        return (Z @ p - k / 2.0) / d
-    phi_hat = stability(matrix, variant)  # raises on a degenerate Z
-    kbar = float(k.mean())
-    denom = (kbar / d) * (1.0 - kbar / d)
-    inner = (
-        Z @ p / d
-        - k * kbar / d**2
-        + (phi_hat / 2.0) * (2.0 * k * kbar / d**2 - k / d - kbar / d + 1.0)
-    )
-    return inner / denom
+        phi_hat = 1.0 - mean_s2
+        phi = (Z @ p - k / 2.0) / d  # per-row influence values
+    else:
+        kbar = float(k.mean())
+        denom = (kbar / d) * (1.0 - kbar / d)
+        if denom == 0.0:
+            raise NumericalError(
+                "normalized stability is undefined when every replicate selects "
+                "no features or all features"
+            )
+        phi_hat = 1.0 - mean_s2 / denom
+        phi = (
+            Z @ p / d
+            - k * kbar / d**2
+            + (phi_hat / 2.0) * (2.0 * k * kbar / d**2 - k / d - kbar / d + 1.0)
+        ) / denom
+    centered = phi - phi.mean()
+    return phi_hat, float(4.0 / M**2 * np.sum(centered * centered))
+
+
+def stability(matrix: SelectionMatrix, variant: str = NORMALIZED) -> float:
+    """Mean selection-variance stability of the replicate matrix."""
+    return _estimate(matrix, variant)[0]
 
 
 def stability_variance(matrix: SelectionMatrix, variant: str = NORMALIZED) -> float:
     """Asymptotic variance of the stability estimate (delta method)."""
-    _check_variant(variant)
-    phi = _influence(matrix, variant)
-    M = matrix.n_replicates
-    centered = phi - phi.mean()
-    return float(4.0 / M**2 * np.sum(centered * centered))
+    return _estimate(matrix, variant)[1]
 
 
 def stability_ci(
@@ -125,9 +110,8 @@ def stability_ci(
     """Symmetric normal confidence interval around the stability estimate."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    phi_hat = stability(matrix, variant)
-    z = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0)
-    half = z * float(np.sqrt(stability_variance(matrix, variant)))
+    phi_hat, v = _estimate(matrix, variant)
+    half = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0) * float(np.sqrt(v))
     return (phi_hat - half, phi_hat + half)
 
 
@@ -135,9 +119,8 @@ def ztest(
     a: SelectionMatrix, b: SelectionMatrix, variant: str = NORMALIZED
 ) -> tuple[float, float]:
     """Two-sample Z comparison of stabilities: statistic and two-sided p."""
-    phi_a = stability(a, variant)
-    phi_b = stability(b, variant)
-    v = stability_variance(a, variant) + stability_variance(b, variant)
+    (phi_a, v_a), (phi_b, v_b) = _estimate(a, variant), _estimate(b, variant)
+    v = v_a + v_b
     if v == 0.0:
         if phi_a == phi_b:
             return (0.0, 1.0)
@@ -182,14 +165,8 @@ def make_report(
     matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
 ) -> StabilityReport:
     low, high = stability_ci(matrix, alpha, variant)
-    return StabilityReport(
-        phi=stability(matrix, variant),
-        variance=stability_variance(matrix, variant),
-        ci_low=low,
-        ci_high=high,
-        mean_features_selected=float(matrix.Z.sum(axis=1).mean()),
-        variant=variant,
-    )
+    phi, variance = _estimate(matrix, variant)
+    return StabilityReport(phi, variance, low, high, float(matrix.Z.sum(axis=1).mean()), variant)
 
 
 def _replicate_rows(

@@ -1,6 +1,7 @@
 """Two-stage boosting: configs, the fit loop, selections, and importances."""
 
 import concurrent.futures
+import dataclasses
 import json
 import os
 import pickle
@@ -45,6 +46,13 @@ def make_dataset(Xs, ys, feature_names=None):
         for t, (X, y) in enumerate(zip(Xs, ys))
     ]
     return MultitaskDataset(tasks=tasks, candidate_features=list(feature_names))
+
+
+def mse_recorder():
+    """An ``on_round`` hook for ``fit_single_task`` and the list of training
+    MSEs it records, one per accepted round."""
+    mses = []
+    return mses, lambda b, residuals, steps: mses.append(float(np.mean(residuals[0] ** 2)))
 
 
 def all_train_split(dataset):
@@ -115,7 +123,8 @@ class TestBoostConfig:
 class TestFitSingleTask:
     def test_zero_rounds(self):
         X = np.zeros((4, 1))
-        trees, used, history = fit_single_task(X, np.ones(4), 0, 0.1, used={3})
+        history, on_round = mse_recorder()
+        trees, used = fit_single_task(X, np.ones(4), 0, 0.1, used={3}, on_round=on_round)
         assert trees == [] and history == [] and used == {3}
 
     def test_zero_rounds_prepare_no_root(self, monkeypatch):
@@ -129,28 +138,34 @@ class TestFitSingleTask:
     def test_stump_round_updates_residuals(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        trees, used, history = fit_single_task(X, y, 1, 0.1, params=STUMPS)
+        history, on_round = mse_recorder()
+        trees, used = fit_single_task(X, y, 1, 0.1, params=STUMPS, on_round=on_round)
         assert len(trees) == 1 and used == {0}
         # Residuals [0, 0, .9, .9] after subtracting 0.1 * {0, 1} leaves.
         assert history == [pytest.approx(np.mean([0, 0, 0.81, 0.81]))]
 
     def test_constant_target_fits_intercept_stumps(self):
         X = np.array([[1.0], [2.0]])
-        trees, used, history = fit_single_task(X, np.full(2, 5.0), 3, 0.1, params=STUMPS)
+        trees, used = fit_single_task(X, np.full(2, 5.0), 3, 0.1, params=STUMPS)
         assert [t.is_stump_leaf for t in trees] == [True, True, True]
         assert used == set()
         assert [t.values[0][0] for t in trees] == pytest.approx([5.0, 4.5, 4.05])
 
     def test_zero_target_stops_immediately(self):
         X = np.array([[1.0], [2.0]])
-        trees, used, history = fit_single_task(X, np.zeros(2), 50, 0.1, params=STUMPS)
-        assert trees == [] and history == []
+        history, on_round = mse_recorder()
+        trees, used = fit_single_task(X, np.zeros(2), 50, 0.1, params=STUMPS, on_round=on_round)
+        assert trees == [] and history == [] and used == set()
 
     def test_mse_history_is_monotone(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(80, 4))
         y = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.normal(size=80)
-        _, _, history = fit_single_task(X, y, 40, 0.1, params=TreeParams(min_samples_leaf=3))
+        history, on_round = mse_recorder()
+        trees, _ = fit_single_task(
+            X, y, 40, 0.1, params=TreeParams(min_samples_leaf=3), on_round=on_round
+        )
+        assert len(history) == len(trees) > 1
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_on_round_residual_replay(self):
@@ -158,7 +173,7 @@ class TestFitSingleTask:
         X = rng.normal(size=(50, 3))
         y = X[:, 0] + 0.5 * rng.normal(size=50)
         seen = []
-        trees, _, _ = fit_single_task(
+        trees, _ = fit_single_task(
             X, y, 10, 0.3, params=STUMPS, on_round=lambda b, r, _: seen.append((b, r[0].copy()))
         )
         assert [b for b, _ in seen] == list(range(1, len(trees) + 1))
@@ -172,10 +187,19 @@ class TestFitSingleTask:
         y = 2.0 * X[:, 0] + 0.1 * X[:, 1]
         y = y - y.mean()
         # Gains: f0 starts at 1.0 and decays; f1 never exceeds 0.0025.
-        trees, used, _ = fit_single_task(X, y, 60, 0.1, lam=0.5, params=STUMPS)
+        trees, used = fit_single_task(X, y, 60, 0.1, lam=0.5, params=STUMPS)
         assert used == {0}
-        _, used_free, _ = fit_single_task(X, y, 60, 0.1, lam=0.0, params=STUMPS)
+        _, used_free = fit_single_task(X, y, 60, 0.1, lam=0.0, params=STUMPS)
         assert used_free == {0, 1}
+
+
+def plain(value):
+    """``value`` with every tree replaced by its ``to_dict()``, for ``==``."""
+    if isinstance(value, MultitaskTree):
+        return value.to_dict()
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    return value
 
 
 class TestFit:
@@ -208,12 +232,21 @@ class TestFit:
         data = self.two_task_dataset()
         cfg = BoostConfig(rounds_universal=30, rounds_task=30, learning_rate=0.2,
                           tree=TreeParams(min_samples_leaf=2))
-        model = fit(data, all_train_split(data), cfg)
-        uni = np.asarray(model.universal_mse)
-        assert uni.shape[1] == 2
+        uni, per_task = [], {0: [], 1: []}
+
+        def on_round(stage, info, res):
+            if stage == "universal":
+                uni.append([float(np.mean(r * r)) for r in res])
+            else:
+                per_task[info[0]].append(float(np.mean(res * res)))
+
+        model = fit(data, all_train_split(data), cfg, on_round=on_round)
+        uni = np.asarray(uni)
+        assert uni.shape == (len(model.universal_trees), 2)
         for col in uni.T:
             assert all(b <= a + 1e-12 for a, b in zip(col, col[1:]))
-        for hist in model.task_mse:
+        for t, hist in per_task.items():
+            assert len(hist) == len(model.task_trees[t])
             assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_predictions_match_residual_stream(self):
@@ -246,7 +279,7 @@ class TestFit:
         model = fit(data, all_train_split(data), cfg)
         assert model.universal_trees == []
         for t in range(2):
-            solo, _, _ = fit_single_task(Xs[t], ys[t], 25, 0.1, lam=0.05, params=params)
+            solo, _ = fit_single_task(Xs[t], ys[t], 25, 0.1, lam=0.05, params=params)
             assert len(solo) == len(model.task_trees[t])
             for a, b in zip(solo, model.task_trees[t]):
                 assert a.to_dict() == b.to_dict()
@@ -261,7 +294,7 @@ class TestFit:
         cfg = BoostConfig(rounds_universal=20, rounds_task=0, learning_rate=0.1,
                           lambda_u=0.2, tree=params)
         model = fit(data, all_train_split(data), cfg)
-        solo, _, _ = fit_single_task(X, y, 20, 0.1, lam=0.2, params=params)
+        solo, _ = fit_single_task(X, y, 20, 0.1, lam=0.2, params=params)
         assert len(model.universal_trees) == len(solo)
         for mtree, tree in zip(model.universal_trees, solo):
             assert mtree.to_dict() == tree.to_dict()
@@ -287,11 +320,52 @@ class TestFit:
                           lambda_u=0.5, lambda_task=0.01,
                           tree=TreeParams(min_samples_leaf=2))
         model = fit(data, all_train_split(data), cfg)
+        assert model.universal_trees and all(model.task_trees)
         clone = BoutsModel.from_dict(model.to_dict())
-        assert clone.feature_names == model.feature_names
-        assert clone.universal_feature_indices == model.universal_feature_indices
+        # The model holds exactly what its dict holds: every field comes back.
+        for f in dataclasses.fields(BoutsModel):
+            assert plain(getattr(clone, f.name)) == plain(getattr(model, f.name)), f.name
         for t, task in enumerate(data.tasks):
             np.testing.assert_array_equal(clone.predict(t, task.X), model.predict(t, task.X))
+
+    def test_fit_single_task_returns_a_new_used_set(self):
+        X = bit_design(3, reps=4)
+        y = X[:, 0] + 0.5 * X[:, 1] - 0.25 * X[:, 2]
+        s = {2}
+        trees, used = fit_single_task(X, y - y.mean(), 20, 0.1, lam=0.01, used=s, params=STUMPS)
+        assert s == {2} and used is not s
+        split_on = set().union(*(tree.features_used for tree in trees))
+        assert split_on - s and used == s | split_on
+
+    def test_fit_hands_each_task_the_same_universal_set(self, monkeypatch):
+        real, seen = boosting.fit_single_task, []
+
+        def spy(X, y, rounds, learning_rate, lam, used, params, on_round):
+            before = set(used)
+            trees, out = real(X, y, rounds, learning_rate, lam, used, params, on_round)
+            assert used == before
+            assert out == before | set().union(*(tree.features_used for tree in trees))
+            seen.append(before)
+            return trees, out
+
+        monkeypatch.setattr(boosting, "fit_single_task", spy)
+        data = self.two_task_dataset()
+        cfg = BoostConfig(rounds_universal=10, rounds_task=10, lambda_u=0.5, lambda_task=0.01,
+                          tree=TreeParams(min_samples_leaf=2))
+        model = fit(data, all_train_split(data), cfg)
+        assert model.universal_feature_indices
+        assert seen == [model.universal_feature_indices] * 2
+
+    def test_predict_rejects_an_out_of_range_task(self):
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        assert model.n_tasks == 2
+        X = np.zeros((3, len(model.feature_names)))
+        for t in (-1, 2):
+            with pytest.raises(IndexError, match=f"task index {t} .* 2 tasks"):
+                model.predict(t, X)
+            with pytest.raises(IndexError, match=f"task index {t} .* 2 tasks"):
+                model.predict_columns(t, dict(enumerate(X.T)), len(X))
 
 
 def hand_built_model():
@@ -394,8 +468,8 @@ class TestTrainingRowsAreNotRouted:
             fitted[:] += step[0]
             snapshots.append(fitted.copy())
 
-        trees, _, _ = fit_single_task(X, y, 15, 0.1, params=TreeParams(min_samples_leaf=4),
-                                      on_round=on_round)
+        trees, _ = fit_single_task(X, y, 15, 0.1, params=TreeParams(min_samples_leaf=4),
+                                   on_round=on_round)
         routed = np.zeros(80)
         for tree, snapshot in zip(trees, snapshots, strict=True):
             routed += 0.1 * tree.predict(0, X)
