@@ -36,13 +36,11 @@ from .pathsweep import (
     SelectedPenalty,
     explained_variance,
     log_grid,
-    normalized_absolute_error,
     select_penalty,
     sweep,
 )
 from .stability import (
     SelectionMatrix,
-    StabilityReport,
     cohens_d,
     make_report,
     selection_replicates,

@@ -236,8 +236,6 @@ class BoutsModel:
                 f"{T} tasks but {len(model.f0)} f0 entries and {len(model.task_trees)} "
                 "stage-2 tree lists"
             )
-        if not np.isfinite(model.f0).all():
-            raise DataError(f"f0 holds a non-finite number: {model.f0}")
         return model
 
 
@@ -305,6 +303,7 @@ def task_specific_features(model: BoutsModel, t: int) -> list[str]:
 
 def feature_importances(model: BoutsModel, t: int) -> dict[str, float]:
     """Share of total raw split gain per feature for task t's trees."""
+    model._check_task(t)
     totals: dict[int, float] = {}
     # Universal trees carry task t's gains in column t; stage-2 trees are T=1.
     components = [(tree, t) for tree in model.universal_trees]

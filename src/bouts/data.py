@@ -429,15 +429,21 @@ class Standardizer:
     @classmethod
     def from_dict(cls, d: dict) -> "Standardizer":
         x_mean, x_std = json_numbers(d["x_mean"], "x_mean"), json_numbers(d["x_std"], "x_std")
-        y_mean, y_std = json_numbers([d["y_mean"], d["y_std"]], "y_mean and y_std")
+        y_mean, y_std = json_numbers([d["y_mean"], d["y_std"]], "[y_mean, y_std]")
         return cls(x_mean=np.array(x_mean), x_std=np.array(x_std), y_mean=y_mean, y_std=y_std)
 
 
 def json_numbers(value, what: str) -> list[float]:
-    """A decoded JSON list of numbers as floats; DataError for anything else."""
+    """A decoded JSON list of numbers as finite floats; DataError for anything else."""
     if type(value) is not list or not {*map(type, value)} <= {int, float}:
         raise DataError(f"{what} must be a list of numbers")
-    return [*map(float, value)]
+    try:
+        numbers = [*map(float, value)]
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    except OverflowError:  # an int past the float range
+        pass
+    raise DataError(f"{what} holds a non-finite number")
 
 
 def fit_standardizer(task: TaskDataset, train_idx: np.ndarray) -> Standardizer:

@@ -245,8 +245,6 @@ class MultitaskTree:
             row = json_numbers([node[_SCALAR_KEYS[key]]] if scalar else node[key], f"node {i}: {key}")
             if len(row) != n_tasks:
                 raise DataError(f"node {i}: {key} has {len(row)} entries for {n_tasks} tasks")
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"node {i}: {key} holds a non-finite number")
             return row
 
         n = len(nodes)

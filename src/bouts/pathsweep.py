@@ -39,8 +39,8 @@ DOWNSTREAM_LEARNING_RATE = 0.1
 MAX_GRID_POINTS = 1000  # each point is a fit plus its re-fits; a longer grid is refused unbuilt
 
 
-def log_grid(n_points: int = 20, low: float = -4.0, high: float = 4.0, base: float = math.e) -> list[float]:
-    """Penalty grid equally spaced in log space, default exp(-4)..exp(4).
+def log_grid(n_points: int = 20, base: float = math.e) -> list[float]:
+    """Penalty grid equally spaced in log space, base**-4..base**4.
 
     Raises ValueError unless ``n_points`` is in [2, MAX_GRID_POINTS] and the
     grid is finite and strictly increasing.
@@ -50,7 +50,7 @@ def log_grid(n_points: int = 20, low: float = -4.0, high: float = 4.0, base: flo
     if not 1.0 < base < math.inf:
         raise ValueError(f"base must be a finite number > 1, got {base}")
     with np.errstate(over="ignore"):
-        grid = [float(base ** v) for v in np.linspace(low, high, n_points)]
+        grid = [float(base ** v) for v in np.linspace(-4.0, 4.0, n_points)]
     if not (np.isfinite(grid).all() and all(a < b for a, b in zip(grid, grid[1:]))):
         raise ValueError(
             f"base {base} and n_points {n_points} give a penalty grid that is not "
@@ -69,15 +69,6 @@ def explained_variance(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if var == 0.0:
         raise NumericalError("explained variance is undefined for a constant target")
     return 1.0 - float(np.var(y_true - y_pred)) / var
-
-
-def normalized_absolute_error(y_true_std: np.ndarray, y_pred_std: np.ndarray) -> np.ndarray:
-    """Element-wise absolute error of already-standardized values."""
-    y_true_std = np.asarray(y_true_std, dtype=np.float64)
-    y_pred_std = np.asarray(y_pred_std, dtype=np.float64)
-    if y_true_std.shape != y_pred_std.shape:
-        raise DataError("y_true and y_pred lengths differ")
-    return np.abs(y_true_std - y_pred_std)
 
 
 @dataclass

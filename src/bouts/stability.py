@@ -141,32 +141,18 @@ def cohens_d(a: SelectionMatrix, b: SelectionMatrix, variant: str = NORMALIZED) 
     return float(np.sqrt(2.0)) * t
 
 
-@dataclass
-class StabilityReport:
-    phi: float
-    variance: float
-    ci_low: float
-    ci_high: float
-    mean_features_selected: float
-    variant: str
-
-    def to_dict(self) -> dict:
-        return {
-            "stability": self.phi,
-            "variance": self.variance,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "mean_features_selected": self.mean_features_selected,
-            "variant": self.variant,
-        }
-
-
-def make_report(
-    matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
-) -> StabilityReport:
+def make_report(matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED) -> dict:
+    """One matrix's ``stability_report.json`` entry: Phi-hat, its variance and interval."""
     low, high = stability_ci(matrix, alpha, variant)
     phi, variance = _estimate(matrix, variant)
-    return StabilityReport(phi, variance, low, high, float(matrix.Z.sum(axis=1).mean()), variant)
+    return {
+        "stability": phi,
+        "variance": variance,
+        "ci_low": low,
+        "ci_high": high,
+        "mean_features_selected": float(matrix.Z.sum(axis=1).mean()),
+        "variant": variant,
+    }
 
 
 def _replicate_rows(

@@ -438,6 +438,13 @@ class TestFeatureImportances:
         model.task_trees = [[], []]
         assert feature_importances(model, 0) == {}
 
+    def test_rejects_an_out_of_range_task(self):
+        with open(os.path.join(DATA_DIR, "model.json")) as fh:
+            model = BoutsModel.from_dict(json.load(fh)["model"])
+        for t in (-1, 2):
+            with pytest.raises(IndexError, match=f"task index {t} .* 2 tasks"):
+                feature_importances(model, t)
+
 
 class TestTrainingRowsAreNotRouted:
     """Boosting reads each training row's leaf from the grower; these pin that

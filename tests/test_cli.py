@@ -1332,7 +1332,7 @@ def test_task_names_write_their_matrices_or_exit_data_before_fitting(names):
 # it accepts is one the shipped schema accepts.
 
 PER_TASK_KEYS = {"values", "thresholds", "gains", "penalized_gains", "f0", "task_trees"}
-BUNDLE_VALUES = JSON_VALUES | st.integers(-3, 12)
+BUNDLE_VALUES = JSON_VALUES | st.integers(-3, 12) | st.sampled_from([10**400, -(10**400)])
 
 
 def _locations(obj, path=()):

@@ -21,6 +21,7 @@ from bouts.data import (
     _read_plain,
     build_category,
     fit_standardizer,
+    json_numbers,
     load_manifest,
     load_task_csv,
     overlap_split,
@@ -618,6 +619,19 @@ class TestStandardizer:
         task = make_task("t", ["a"], [[1.0]], [0.0])
         with pytest.raises(DataError, match="empty training partition"):
             fit_standardizer(task, np.array([], dtype=np.intp))
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            *((v, "holds a non-finite number") for v in (10**400, -(10**400), math.nan, math.inf)),
+            (True, "must be a list of numbers"),
+        ],
+    )
+    def test_refuses_what_is_not_a_finite_number(self, value, problem):
+        with pytest.raises(DataError, match=f"^node 3: values {problem}$"):
+            json_numbers([0.5, value], "node 3: values")
 
 
 class TestStandardizeDataset:

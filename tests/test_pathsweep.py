@@ -16,7 +16,6 @@ from bouts.pathsweep import (
     downstream_scores,
     explained_variance,
     log_grid,
-    normalized_absolute_error,
     select_penalty,
     sweep,
 )
@@ -71,12 +70,6 @@ class TestScores:
             explained_variance(np.ones(4), np.zeros(4))
         with pytest.raises(DataError, match="lengths differ"):
             explained_variance(np.zeros(3), np.zeros(4))
-
-    def test_normalized_absolute_error(self):
-        got = normalized_absolute_error([0.0, 1.0, -2.0], [0.5, 1.0, 2.0])
-        np.testing.assert_allclose(got, [0.5, 0.0, 4.0])
-        with pytest.raises(DataError, match="lengths differ"):
-            normalized_absolute_error(np.zeros(2), np.zeros(3))
 
 
 def point(lam, evs):

@@ -182,11 +182,12 @@ class TestReport:
     def test_fields_consistent(self):
         m = matrix([[1, 1, 0], [1, 0, 0]])
         report = make_report(m, alpha=0.05, variant=PAPER_FORMULA)
-        assert report.phi == stability(m, PAPER_FORMULA)
-        assert report.variance == stability_variance(m, PAPER_FORMULA)
-        assert report.ci_low <= report.phi <= report.ci_high
-        assert report.mean_features_selected == 1.5
-        assert report.to_dict()["variant"] == PAPER_FORMULA
+        assert report["stability"] == stability(m, PAPER_FORMULA)
+        assert report["variance"] == stability_variance(m, PAPER_FORMULA)
+        assert (report["ci_low"], report["ci_high"]) == stability_ci(m, 0.05, PAPER_FORMULA)
+        assert report["ci_low"] <= report["stability"] <= report["ci_high"]
+        assert report["mean_features_selected"] == 1.5
+        assert report["variant"] == PAPER_FORMULA
 
 
 def bit_design(n_features, reps):
