@@ -394,15 +394,18 @@ def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
         for opt in (opt for opt in BOOST + PENALTY if opt.key != "lam"):
             _from_json(saved[opt.key], opt, "config")  # as a --config file must give it
         model = BoutsModel.from_dict(bundle["model"])
-        standardizers = [
-            Standardizer.from_dict(bundle["standardizers"][name]) for name in model.task_names
-        ]
         d = len(model.feature_names)
-        for name, st in zip(model.task_names, standardizers):
+        standardizers = []
+        for name in model.task_names:
+            try:
+                st = Standardizer.from_dict(bundle["standardizers"][name])
+            except DataError as e:
+                raise DataError(f"standardizer of task {name!r}: {e}") from None
             if st.x_mean.shape != (d,) or st.x_std.shape != (d,):
                 raise DataError(f"standardizer of task {name!r} does not have {d} features")
             if not (np.append(st.x_std, st.y_std) > 0).all():
                 raise DataError(f"standardizer of task {name!r} needs scales > 0")
+            standardizers.append(st)
     except (AttributeError, DataError, KeyError, TypeError, ValueError) as e:
         problem = f"missing key {e}" if isinstance(e, KeyError) else e
         raise DataError(f"{path}: invalid model file: {problem}") from None

@@ -5,20 +5,21 @@ keeps its own threshold and leaf values.  The split feature is chosen by a
 maximin rule: each task reports the best penalized gain it can reach on a
 feature, and the feature with the largest worst-task gain wins.
 
-This is the package's only tree.  A single-task tree is the T=1 case, where
-the maximin rule reduces to the plain argmax of the penalized gain; stage-2
-boosting and the downstream re-fits grow such trees.  ``maximin_split`` reads
-one prepared node per task (``trees.SortedRows``): it takes every candidate
-split from ``trees.scan_columns`` and re-scores only the candidates the scan
-cannot tell apart from a feature's best with the definition, ``trees.raw_gain``,
-at the node's own ``SortedRows.threshold``.  ``MultitaskTree`` keeps its nodes
-in flat arrays, which ``MultitaskTree.of_nodes`` builds from one record per
-node for the grower and the decoder alike, and owns the two on-disk node
-layouts: per-task lists for universal trees and scalars for T=1 stage-2 trees.
-The grower takes each task's prepared root, prepares every node below it once
-with ``SortedRows.subset`` (an integer sort of the root's ranks of the node's
-rows), routes the node's rows on those, and returns the leaf each training row
-reached, so boosting never routes its own training rows.  Other rows go through
+This is the package's only tree.  A single-task tree is the T=1 case, where the
+maximin rule reduces to the plain argmax of the penalized gain; stage-2 boosting
+and the downstream re-fits grow such trees.  ``maximin_split`` reads one
+prepared node per task (``trees.SortedRows``): it takes candidate splits from
+``trees.scan_columns``, skipping on later tasks the features the first rules
+out, and re-scores only the candidates the scan cannot tell apart from a
+feature's best with the definition, ``trees.raw_gain``, at the node's own
+``SortedRows.threshold``.  ``MultitaskTree`` keeps its nodes in flat arrays,
+which ``MultitaskTree.of_nodes`` builds from one record per node for the grower
+and the decoder alike, and owns the two on-disk node layouts: per-task lists for
+universal trees and scalars for T=1 stage-2 trees.  The grower takes each task's
+prepared root, prepares every node below it once with ``SortedRows.subset`` (an
+integer sort of the root's ranks of its rows, which it does not copy), routes
+the node's rows on those, and returns the leaf each training row reached, so
+boosting never routes its own training rows.  Other rows take
 ``MultitaskTree.route``: on feature-major columns, a node compares its whole
 column with its threshold once and hands each child the mask of its rows, and
 each leaf writes its value under its mask with one exact masked store.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
@@ -64,39 +65,56 @@ def maximin_split(
     within the tie margin of that task's best with the definition-based
     ``raw_gain`` and keeps the first maximum (the lowest threshold on ties), so
     near-ties cannot be misordered by scan arithmetic.  Returns None when the
-    score is <= ``params.min_gain``.
+    score is <= ``params.min_gain``.  With T > 1, pass one scans later tasks
+    only on features whose first-task penalized gain is within the tie margin
+    of ``lb``, the first task's best feature's score: no feature scores above
+    its first-task gain, and scan rows are computed alone, so this is exact.
     """
     if not nodes or len(ys) != len(nodes):
         raise ValueError("need one node and one target vector per task")
-    d = nodes[0].XT.shape[0]
+    d = len(nodes[0].order)
     m = params.min_samples_leaf
     charges = np.full(d, float(lambda_u))  # the charge for adding each feature
     charges[list(used_universal)] = 0.0
-    # Per task: the (d, n - 2m + 1) candidate gains and each feature's best.
-    cands = [
-        scan_columns(node.order, node.distinct, y, m, params.criterion)
-        for node, y in zip(nodes, ys)
-    ]
-    raws = [cand.max(axis=1, initial=-np.inf) for cand in cands]
+    row_max = partial(np.maximum.reduce, axis=1, initial=-np.inf)
+
+    def scan(t: int, rows) -> np.ndarray:  # task t's candidate gains on features ``rows``
+        node = nodes[t]
+        return scan_columns(node.order[rows], node.distinct[rows], ys[t], m, params.criterion)
+
+    # Per task: the candidate gains and each feature's best, on the features in keep.
+    cands = [scan(0, slice(None))]
+    raws = [row_max(cands[0])]
+    keep, others = np.arange(d), range(1, len(nodes))
+    if others and d:
+        first = raws[0] - charges  # each feature's first-task penalized gain
+        b = int(first.argmax())
+        lb = min(first[b], *(row_max(scan(t, slice(b, b + 1)))[0] - charges[b] for t in others))
+        # lb = -inf rules nothing out: keep every feature with a finite gain.
+        low = lb - TIE_MARGIN * max(1.0, abs(lb)) if lb > -np.inf else np.nextafter(-np.inf, 0)
+        keep = (first >= low).nonzero()[0]
+        cands = [cands[0][keep], *(scan(t, keep) for t in others)]
+        raws = [raws[0][keep], *map(row_max, cands[1:])]
     # -inf (no candidate) stays -inf, and so does any gain charged lambda = inf.
-    score = reduce(np.minimum, [raw - charges for raw in raws])
-    s_max = float(score.max(initial=-np.inf))
+    score = reduce(np.minimum, [raw - charges[keep] for raw in raws])
+    s_max = float(np.maximum.reduce(score, initial=-np.inf))
     if not math.isfinite(s_max):
         return None
     tol = TIE_MARGIN * max(1.0, abs(s_max))
     if s_max <= params.min_gain - tol:
         return None
-    shortlist = np.flatnonzero(score >= s_max - tol)
+    shortlist = (score >= s_max - tol).nonzero()[0]
     best = None  # (score, feature, per-task (penalized gain, threshold, raw))
-    for f in shortlist.tolist():
+    for i, f in zip(shortlist.tolist(), keep[shortlist].tolist()):
         charge = float(charges[f])
         task_best = []
         for node, y, cand, raw in zip(nodes, ys, cands, raws):
-            near = np.flatnonzero(cand[f] >= raw[f] - TIE_MARGIN * max(1.0, abs(raw[f])))
+            x = node.column(f)
+            near = (cand[i] >= raw[i] - TIE_MARGIN * max(1.0, abs(raw[i]))).nonzero()[0]
             top = None  # (penalized gain, threshold, raw gain)
             for j in near.tolist():
                 v = node.threshold(f, j, m)
-                g_raw = raw_gain(node.XT[f], y, v, params.criterion)
+                g_raw = raw_gain(x, y, v, params.criterion)
                 if top is None or g_raw - charge > top[0]:
                     top = (g_raw - charge, v, g_raw)
             task_best.append(top)
@@ -318,12 +336,12 @@ def grow_multitask_tree(
         if split is None:
             for rows, idx in zip(leaf_of_row, idxs):
                 rows[idx] = i
-            values = tuple(y[idx].sum() / idx.size for y, idx in zip(ys, idxs))  # np.mean's bits
+            values = tuple(np.add.reduce(y[i]) / i.size for y, i in zip(ys, idxs))  # as np.mean
             records[i] = (LEAF, LEAF, LEAF, zeros, values, zeros, zeros)
             return i
         f = split.feature
         used_now.add(f)
-        go_left = [node.XT[f] <= v for node, v in zip(nodes, split.thresholds)]
+        go_left = [node.column(f) <= v for node, v in zip(nodes, split.thresholds)]
         left = build([idx[g] for idx, g in zip(idxs, go_left)], depth + 1)
         right = build([idx[~g] for idx, g in zip(idxs, go_left)], depth + 1)
         records[i] = (f, left, right, split.thresholds, nans, split.raw_gains, split.gains)

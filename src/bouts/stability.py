@@ -108,9 +108,13 @@ def stability_ci(
     matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
 ) -> tuple[float, float]:
     """Symmetric normal confidence interval around the stability estimate."""
+    return _interval(*_estimate(matrix, variant), alpha)
+
+
+def _interval(phi_hat: float, v: float, alpha: float) -> tuple[float, float]:
+    """The normal interval of level 1 - ``alpha`` around ``phi_hat`` of variance ``v``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    phi_hat, v = _estimate(matrix, variant)
     half = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0) * float(np.sqrt(v))
     return (phi_hat - half, phi_hat + half)
 
@@ -143,8 +147,8 @@ def cohens_d(a: SelectionMatrix, b: SelectionMatrix, variant: str = NORMALIZED) 
 
 def make_report(matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED) -> dict:
     """One matrix's ``stability_report.json`` entry: Phi-hat, its variance and interval."""
-    low, high = stability_ci(matrix, alpha, variant)
     phi, variance = _estimate(matrix, variant)
+    low, high = _interval(phi, variance, alpha)
     return {
         "stability": phi,
         "variance": variance,

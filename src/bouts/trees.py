@@ -6,27 +6,28 @@ is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
 
-A node's rows are prepared once into ``SortedRows``: the feature-major (d, n)
-rows, each feature's sort order by (value, row) and which sorted neighbours
-differ.  Boosting prepares each task's root once per run with ``sort_rows``,
-since the root sees the same rows in every round.  That is the one float sort;
-it also keeps each feature's dense ranks (equal values share a rank).  The
-grower prepares every other node with ``SortedRows.subset``: one integer sort
-of the node's gathered ranks, each packed with its row's position in the node
-into one key.  ``scan_columns`` is the one enumeration of candidate splits:
-it scores every boundary of every feature of a prepared node at once with
-prefix sums, both criteria as one expression, (s_left - n_left * mean)^2 times
-a weight per boundary.  ``SortedRows.threshold`` maps a scan column back to its
-midpoint.  The scan's arithmetic cannot be trusted to order near-ties, so the
-split search re-scores the candidates within ``TIE_MARGIN`` of a feature's best
-with ``raw_gain``, the definition.  The only tree built on these scores, and
-the only split search, live in ``multitask`` (a single-task tree is its T=1
-case).
+A node's rows are prepared once into ``SortedRows``: each feature's sort order
+by (value, row) and which sorted neighbours differ.  Boosting prepares each
+task's root once per run with ``sort_rows``, since the root sees the same rows
+in every round.  That is the one float sort; it also keeps each feature's dense
+ranks (equal values share a rank).  The grower prepares every other node with
+``SortedRows.subset``: one integer sort of the node's gathered ranks, each
+packed with its row's position in the node into one key.  A node keeps the
+root's feature-major (d, n) matrix and its rows' indices, not a copy of its
+rows; ``SortedRows.column`` gathers the one feature a search or split reads.
+``scan_columns`` is the one enumeration of candidate splits: it scores every
+boundary of every feature of a prepared node at once with prefix sums, both
+criteria as one expression, (s_left - n_left * mean)^2 times a weight per
+boundary.  ``SortedRows.threshold`` maps a scan column back to its midpoint.
+The scan's arithmetic cannot be trusted to order near-ties, so the split search
+re-scores the candidates within ``TIE_MARGIN`` of a feature's best with
+``raw_gain``, the definition.  The only tree built on these scores, and the
+only split search, live in ``multitask`` (a single-task tree is its T=1 case).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,7 +67,7 @@ def raw_gain(x: np.ndarray, y: np.ndarray, v: float, criterion: str) -> float:
     oracle for the vectorized search.
     """
     left = x <= v
-    n_left = int(left.sum())
+    n_left = np.count_nonzero(left)
     n = len(y)
     if n_left == 0 or n_left == n:
         raise ValueError("split produces an empty child")
@@ -74,7 +75,7 @@ def raw_gain(x: np.ndarray, y: np.ndarray, v: float, criterion: str) -> float:
     y_right = y[~left]
     if criterion == FRIEDMAN:
         n_right = n - n_left
-        diff = float(y_left.sum() / y_left.size) - float(y_right.sum() / y_right.size)
+        diff = float(np.add.reduce(y_left) / n_left) - float(np.add.reduce(y_right) / n_right)
         return n_left * n_right / n * diff * diff
     w_left = n_left / n
     return float(np.var(y) - w_left * np.var(y_left) - (1.0 - w_left) * np.var(y_right))
@@ -88,20 +89,30 @@ TIE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class SortedRows:
-    """One node's rows, feature-major, with each feature's sort order."""
+    """One node's rows, as indices into the root's rows, with each feature's sort order."""
 
-    XT: np.ndarray  # (d, n) one row per feature
-    order: np.ndarray  # (d, n) each row of XT's columns by (value, column)
+    root_XT: np.ndarray  # (d, N) the root's rows, one per feature
+    order: np.ndarray  # (d, n) each feature's node positions by (value, position)
     distinct: np.ndarray  # (d, n - 1) whether sorted value j + 1 exceeds value j
+    idx: Optional[np.ndarray] = None  # (n,) the node's columns of root_XT; None: all
     # (d, n) each value's dense rank in its row (equal values share one); kept
     # by ``sort_rows`` only, for ``subset``
     ranks: Optional[np.ndarray] = None
+
+    @property
+    def XT(self) -> np.ndarray:
+        """The node's (d, n) rows, gathered (C-ordered, by ``take``) below the root."""
+        return self.root_XT if self.idx is None else self.root_XT.take(self.idx, axis=1)
+
+    def column(self, f: int) -> np.ndarray:
+        """Feature ``f``'s values at the node's rows, in node order."""
+        return self.root_XT[f] if self.idx is None else self.root_XT[f].take(self.idx)
 
     def threshold(self, f: int, j: int, min_samples_leaf: int) -> float:
         """The threshold of ``scan_columns``' column ``j`` for feature ``f``: the
         midpoint of its sorted values m + j - 1 and m + j, m = ``min_samples_leaf``."""
         k = min_samples_leaf + j
-        lo, hi = self.XT[f, self.order[f, k - 1 : k + 1]]
+        lo, hi = self.column(f)[self.order[f, k - 1 : k + 1]]
         return float(0.5 * (lo + hi))
 
     def subset(self, idx: np.ndarray) -> "SortedRows":
@@ -109,12 +120,11 @@ class SortedRows:
         ``sort_rows(XT[:, idx])`` but sorted by the ranks, not the values.
 
         It keeps no ranks: the grower subsets only the root."""
-        # take, not XT[:, idx], which is Fortran-ordered
-        return _packed(self.XT.take(idx, axis=1), self.ranks.take(idx, axis=1))
+        return SortedRows(self.root_XT, *_packed(self.ranks.take(idx, axis=1)), idx)
 
 
-def _packed(XT: np.ndarray, ranks: np.ndarray) -> SortedRows:
-    """Sort each row of ``XT`` by the packed integer key ``rank << s | column``.
+def _packed(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``order`` and ``distinct`` of ``ranks``: each row sorted by the key ``rank << s | column``.
 
     One ``sort`` of the keys orders every row by (value, column): the column is
     in the low ``s`` bits and equal values share their rank in the high bits,
@@ -124,11 +134,11 @@ def _packed(XT: np.ndarray, ranks: np.ndarray) -> SortedRows:
     """
     s = 4 * ranks.itemsize - 1
     key = ranks << s
-    key |= np.arange(XT.shape[1], dtype=key.dtype)
+    key |= np.arange(ranks.shape[1], dtype=key.dtype)
     key.sort(axis=1)
     order = np.bitwise_and(key, (1 << s) - 1, dtype=np.intp)  # intp: y[order] needs no cast
     key >>= s
-    return SortedRows(XT, order, key[:, 1:] != key[:, :-1])
+    return order, key[:, 1:] != key[:, :-1]
 
 
 def sort_rows(XT: np.ndarray) -> SortedRows:
@@ -143,7 +153,7 @@ def sort_rows(XT: np.ndarray) -> SortedRows:
     np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, out=dense[:, 1:])
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, by_value, dense, axis=1)
-    return replace(_packed(XT, ranks), ranks=ranks)
+    return SortedRows(XT, *_packed(ranks), ranks=ranks)
 
 
 def scan_columns(
@@ -169,7 +179,7 @@ def scan_columns(
     # n_L n_R / n (mean_L - mean_R)^2 is n (s_L - n_L mean)^2 / (n_L n_R), and
     # the variance decrease is that over n.
     n_left = np.arange(m, n - m + 1, dtype=np.float64)
-    cand = np.cumsum(y[order], axis=1)[:, m - 1 : n - m] - n_left * (y.sum() / n)
+    cand = np.add.accumulate(y[order], axis=1)[:, m - 1 : n - m] - n_left * (np.add.reduce(y) / n)
     cand *= cand
     cand *= (n if criterion == FRIEDMAN else 1.0) / (n_left * (n - n_left))
     np.putmask(cand, ~distinct[:, m - 1 : n - m], -np.inf)

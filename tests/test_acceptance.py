@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from bouts import multitask
 from bouts.boosting import (
     BoostConfig,
     fit,
@@ -250,6 +253,22 @@ def brute_force_maximin(Xs, ys, used, lam, params):
     return best
 
 
+def assert_brute_force_split(got, want) -> bool:
+    """Assert that ``maximin_split``'s ``got`` is ``brute_force_maximin``'s
+    ``want``; True if they split."""
+    if want is None:
+        assert got is None
+        return False
+    w_score, w_f, w_per_task = want
+    assert got is not None
+    assert got.feature == w_f
+    assert got.thresholds == tuple(v for _, v in w_per_task)
+    assert abs(got.score - w_score) <= GAIN_TOL
+    for g, (wg, _) in zip(got.gains, w_per_task):
+        assert abs(g - wg) <= GAIN_TOL
+    return True
+
+
 def test_a2_maximin_oracle_equivalence():
     rng = np.random.default_rng(2)
     started = time.perf_counter()
@@ -273,22 +292,43 @@ def test_a2_maximin_oracle_equivalence():
             criterion=str(rng.choice(CRITERIA)),
         )
         got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)
-        want = brute_force_maximin(Xs, ys, used, lam, params)
-        if want is None:
-            assert got is None
-            continue
-        w_score, w_f, w_per_task = want
-        assert got is not None
-        assert got.feature == w_f
-        assert got.thresholds == tuple(v for _, v in w_per_task)
-        assert abs(got.score - w_score) <= GAIN_TOL
-        for g, (wg, _) in zip(got.gains, w_per_task):
-            assert abs(g - wg) <= GAIN_TOL
-        n_splits += 1
+        n_splits += assert_brute_force_split(got, brute_force_maximin(Xs, ys, used, lam, params))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(f"A2 maximin-oracle equivalence: PASS ({n_instances} instances, "
           f"{n_splits} with a split, {elapsed:.1f}s)")
+
+
+@st.composite
+def prunable_nodes(draw):
+    """2 or 3 tasks on 8 to 12 tie-free or level columns, whose targets step
+    at the median of one used feature, so the first task rules most features out."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, d = draw(st.sampled_from([2, 3])), draw(st.integers(8, 12))
+    columns = draw(st.sampled_from([continuous_columns, level_columns]))
+    signal = int(rng.integers(0, d))
+    used = {signal, *(f for f in range(d) if rng.random() < 0.2)}
+    Xs = [columns(rng, int(rng.integers(8, 25)), d) for _ in range(T)]
+    ys = [2.0 * (X[:, signal] > np.median(X[:, signal])) + 0.5 * rng.normal(size=len(X))
+          for X in Xs]
+    params = TreeParams(
+        max_depth=1,
+        min_samples_leaf=draw(st.integers(1, 2)),
+        min_gain=0.0,
+        criterion=draw(st.sampled_from(CRITERIA)),
+    )
+    return Xs, ys, used, draw(st.sampled_from([0.0, 0.5, 5.0, math.inf])), params
+
+
+@given(prunable_nodes())
+@settings(max_examples=150, deadline=None)
+def test_a2_maximin_oracle_equivalence_when_tasks_skip_features(case):
+    """A2 on nodes where the tasks after the first scan fewer than d features."""
+    Xs, ys, used, lam, params = case
+    with mock.patch.object(multitask, "scan_columns", wraps=scan_columns) as scan:
+        got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)
+    assume(scan.call_args_list[-1].args[0].shape[0] < Xs[0].shape[1])
+    assert_brute_force_split(got, brute_force_maximin(Xs, ys, used, lam, params))
 
 
 def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -487,7 +527,7 @@ def test_a5_stability_improvement():
         lambda_u=2.0,
         lambda_task=2.0,
     )
-    Z_universal, Z_tasks = selection_replicates(dataset, config, replicates=100, seed=100)
+    Z_universal, Z_tasks = selection_replicates(dataset, config, replicates=100, seed=100, jobs=2)
     Z_small = Z_tasks[0]  # the n=100 task
 
     phi_universal = stability(Z_universal)
@@ -673,7 +713,7 @@ def test_a7_path_protocol(planted_fit):
     ratios = np.diff(np.log(grid))
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
-    path = sweep(standardized, split, PLANTED_CONFIG, grid)
+    path = sweep(standardized, split, PLANTED_CONFIG, grid, jobs=2)
     totals = [
         len(p.universal) + sum(len(s) for s in p.task_specific) for p in path.points
     ]

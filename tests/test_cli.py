@@ -542,6 +542,23 @@ class TestModelFile:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    def test_non_finite_standardizer_number_names_its_task(
+        self, synth_dir, fit_dir, tmp_path, capsys
+    ):
+        bundle = read_json(os.path.join(fit_dir, "model.json"))
+        bundle["standardizers"]["task0"]["x_mean"][2] = 10**400
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(bundle))
+        code = run(
+            "predict", "--model", str(bad), "--data", os.path.join(synth_dir, "task0.csv"),
+            "--task", "task0", "--out", str(tmp_path / "pred.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert (f"{bad}: invalid model file: standardizer of task 'task0': "
+                "x_mean holds a non-finite number") in err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_boolean_task_count_of_a_one_task_model_exits_data(self, tmp_path, capsys):
         # True == 1, so only a type check tells this from the one task it covers.
         data, out = str(tmp_path / "data"), str(tmp_path / "fit")

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from bouts import multitask
 from bouts.multitask import (
     MultitaskTree,
     grow_multitask_tree,
     maximin_split,
 )
-from bouts.trees import VARIANCE, TreeParams, raw_gain, sort_rows
+from bouts.trees import VARIANCE, TreeParams, raw_gain, scan_columns, sort_rows
 
 LOOSE = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -124,6 +125,60 @@ class TestMaximinSplit:
             assert got.feature == want[1]
             assert got.score == pytest.approx(want[0], abs=1e-12)
             assert list(got.thresholds) == pytest.approx(want[2])
+
+    def test_first_task_best_without_a_boundary_elsewhere(self):
+        # f0 is task 0's best feature but constant on task 1, so it bounds
+        # nothing (its score is -inf) and every other feature is scanned.
+        rng = np.random.default_rng(16)
+        X0, X1 = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
+        X1[:, 0] = 1.0
+        pairs = [(X0, 3.0 * X0[:, 0] + X0[:, 1]), (X1, X1[:, 1] + 0.1 * X1[:, 2])]
+        nodes, ys = view(pairs)
+        first = scan_columns(nodes[0].order, nodes[0].distinct, ys[0], 1, VARIANCE).max(axis=1)
+        assert first.argmax() == 0
+        got = maximin_split(nodes, ys, {0}, 0.0, LOOSE)
+        want = brute_force_maximin(pairs, {0}, 0.0, LOOSE)
+        assert got.feature == want[1] != 0
+        assert got.score == pytest.approx(want[0], abs=1e-12)
+        assert list(got.thresholds) == want[2]
+
+    def test_near_tie_on_the_binding_task_keeps_the_lower_feature(self):
+        # On task 0, f0 and f1 split at the same rows in a different order, so
+        # the definition scores them alike but the scan puts f1 an ulp ahead.
+        # Task 0 binds, so f1 sets the bound and f0 is kept only by the tie
+        # margin; both tie on re-scoring and the lower index wins.
+        step = np.repeat([0.0, 1.0], 10)
+        x = np.arange(20.0)
+        X0 = np.column_stack([x, np.r_[x[9::-1], x[:9:-1]]])
+        y0 = step + 0.1 * np.random.default_rng(84).normal(size=20)
+        nodes, ys = view([(X0, y0), (np.column_stack([x, x]), 10.0 * step)])
+        cand = scan_columns(nodes[0].order, nodes[0].distinct, ys[0], 1, VARIANCE)
+        g0, g1 = cand.max(axis=1)
+        assert g0 < g1
+        assert raw_gain(X0[:, 0], y0, 9.5, VARIANCE) == raw_gain(X0[:, 1], y0, 9.5, VARIANCE)
+        split = maximin_split(nodes, ys, {0, 1}, 0.0, LOOSE)
+        assert split.feature == 0
+        assert split.thresholds == (9.5, 9.5)
+
+    def test_tasks_after_the_first_scan_only_features_it_cannot_rule_out(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        d = 10
+        pairs = []
+        for _ in range(3):
+            X = rng.normal(size=(60, d))
+            pairs.append((X, 2.0 * X[:, 0] + 0.1 * rng.normal(size=60)))
+        rows = []
+
+        def recording(order, *args):
+            rows.append(len(order))
+            return scan_columns(order, *args)
+
+        monkeypatch.setattr(multitask, "scan_columns", recording)
+        got = maximin_split(*view(pairs), {0}, 0.5, LOOSE)
+        want = brute_force_maximin(pairs, {0}, 0.5, LOOSE)
+        assert got.feature == want[1] == 0
+        assert rows[0] == d  # the first task scans every feature
+        assert len(rows) == 5 and max(rows[1:]) < d
 
     def test_universality_of_gain(self):
         rng = np.random.default_rng(12)

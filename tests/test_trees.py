@@ -150,8 +150,12 @@ class TestSubset:
     @settings(max_examples=200, deadline=None)
     def test_subset_is_the_gathered_node(self, case):
         XT, idx = case
-        got, want = sort_rows(XT).subset(idx), sort_rows(XT[:, idx])
+        root = sort_rows(XT)
+        got, want = root.subset(idx), sort_rows(XT[:, idx])
+        assert got.root_XT is root.XT  # the node gathers no rows of its own
         np.testing.assert_array_equal(got.XT, want.XT)
+        for f in range(XT.shape[0]):
+            np.testing.assert_array_equal(got.column(f), want.XT[f])
         np.testing.assert_array_equal(got.order, want.order)
         np.testing.assert_array_equal(got.distinct, want.distinct)
         np.testing.assert_array_equal(got.order, np.argsort(XT[:, idx], axis=1, kind="stable"))
