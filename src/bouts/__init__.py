@@ -33,7 +33,6 @@ from .errors import BoutsError, DataError, NumericalError
 from .multitask import MultitaskSplit, MultitaskTree, grow_multitask_tree, maximin_split
 from .pathsweep import (
     RegularizationPath,
-    SelectedPenalty,
     explained_variance,
     log_grid,
     select_penalty,
@@ -45,11 +44,9 @@ from .stability import (
     make_report,
     selection_replicates,
     stability,
-    stability_ci,
-    stability_variance,
     ztest,
 )
-from .synth import SynthSpec, SynthTruth, generate, write_outputs
+from .synth import SynthSpec, generate, write_outputs
 from .trees import SortedRows, TreeParams, raw_gain, sort_rows
 
 __version__ = "0.1.0"

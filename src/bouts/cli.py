@@ -37,6 +37,7 @@ from .data import (
     read_json,
     standardize_dataset,
     Standardizer,
+    valid_ratios,
     write_csv,
     write_json,
 )
@@ -64,11 +65,12 @@ def _ints(text: str) -> list[int]:
 
 INTEGER, NUMBER, STRING = Kind("an integer", int), Kind("a number", float), Kind("a string", str)
 COUNT = Kind("an integer >= 1", int, lambda v: v >= 1)
+SIZE = Kind("an integer >= 0", int, lambda v: v >= 0)
 FRACTION = Kind("a number in (0, 1)", float, lambda v: 0 < v < 1)
 BASE = Kind('a number or "e"', lambda text: math.e if text == "e" else float(text))
-NUMBERS, PENALTIES = Kind("a list of numbers", None), Kind("a number or a list of numbers", float)
+RATIOS = Kind("three positive numbers summing to 1", None, valid_ratios)
+PENALTIES = Kind("a number or a list of numbers", float)
 # synth's kinds: synth takes no --config, so only flags give them.
-SIZE = Kind("an integer >= 0", int, lambda v: v >= 0)
 SCALE = Kind("a finite number >= 0", float, lambda v: 0 <= v < math.inf)  # NaN fails too
 RHO = Kind("a number in [0, 1)", float, lambda v: 0 <= v < 1)
 INTEGERS = Kind("a comma list of integers", _ints)
@@ -111,7 +113,7 @@ def _from_json(value, opt: Option, where: str):
             value = int(value)
         elif type(value) in number and kind.read in (float, BASE.read):
             value = float(value)
-        elif type(value) is list and kind in (NUMBERS, PENALTIES) and {*map(type, value)} <= number:
+        elif type(value) is list and kind in (RATIOS, PENALTIES) and {*map(type, value)} <= number:
             value = [float(v) for v in value]
         elif type(value) is str and kind in (BASE, STRING):
             value = kind.read(value)
@@ -126,9 +128,9 @@ def _from_json(value, opt: Option, where: str):
 
 
 # Each option is declared once; a subcommand registers the groups it reads.
-SEED = Option("seed", INTEGER, "--seed")
+SEED = Option("seed", SIZE, "--seed")
 JOBS = Option("jobs", COUNT, "--jobs")
-SPLIT = (SEED, Option("ratios", NUMBERS))
+SPLIT = (SEED, Option("ratios", RATIOS))
 BOOST = (
     Option("rounds_universal", INTEGER, "--rounds-universal"),
     Option("rounds_task", INTEGER, "--rounds-task"),
@@ -283,10 +285,7 @@ def cmd_path(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "path.csv"), *path.csv_rows())
     write_json(os.path.join(args.out, "path.json"), path.to_dict())
-    write_json(
-        os.path.join(args.out, "selected_lambda.json"),
-        {"index": chosen.index, "lambda": chosen.lam, "warning": chosen.warning},
-    )
+    write_json(os.path.join(args.out, "selected_lambda.json"), chosen)
     rows = []
     for point in path.points:
         rows += [(point.lam, name, "universal") for name in point.universal]
@@ -397,10 +396,12 @@ def _load_model(path: str) -> tuple[BoutsModel, list[Standardizer]]:
         d = len(model.feature_names)
         standardizers = []
         for name in model.task_names:
+            entry = bundle["standardizers"][name]
             try:
-                st = Standardizer.from_dict(bundle["standardizers"][name])
-            except DataError as e:
-                raise DataError(f"standardizer of task {name!r}: {e}") from None
+                st = Standardizer.from_dict(entry)
+            except (DataError, KeyError, TypeError) as e:
+                problem = f"missing key {e}" if isinstance(e, KeyError) else e
+                raise DataError(f"standardizer of task {name!r}: {problem}") from None
             if st.x_mean.shape != (d,) or st.x_std.shape != (d,):
                 raise DataError(f"standardizer of task {name!r} does not have {d} features")
             if not (np.append(st.x_std, st.y_std) > 0).all():

@@ -76,14 +76,6 @@ class TaskDataset:
             dup = _first_duplicate(self.sample_ids)
             raise DataError(f"task {self.name!r}: duplicate sample id {dup!r}")
 
-    @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
 
 @dataclass
 class MultitaskDataset:
@@ -368,13 +360,18 @@ def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
     return base
 
 
+def valid_ratios(ratios: Sequence[float]) -> bool:
+    """Whether ``ratios`` are three positive numbers summing to 1, as split fractions must be."""
+    return len(ratios) == 3 and all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def overlap_split(
     tasks: Sequence[TaskDataset],
     ratios: Sequence[float] = RATIOS,
     seed: int = 0,
 ) -> SplitAssignment:
     """Leakage-free stratified split over possibly overlapping tasks."""
-    if len(ratios) != 3 or not all(r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not valid_ratios(ratios):
         raise DataError("ratios must be three positive numbers summing to 1")
     membership: dict[str, list[int]] = {}
     for t, task in enumerate(tasks):

@@ -28,7 +28,7 @@ from .boosting import (
     universal_features,
 )
 from .data import MultitaskDataset, SplitAssignment
-from .errors import DataError, NumericalError
+from .errors import BoutsError, DataError, NumericalError
 from .trees import TreeParams
 
 # Downstream re-fit grid: small enough to stay cheap, deep enough to use
@@ -120,13 +120,6 @@ class RegularizationPath:
         return header, rows
 
 
-@dataclass(frozen=True)
-class SelectedPenalty:
-    index: int
-    lam: float
-    warning: bool  # True when even the smallest penalty violates the cutoff
-
-
 def downstream_scores(
     dataset: MultitaskDataset,
     split: SplitAssignment,
@@ -190,7 +183,7 @@ def _path_point(
 ) -> PathPoint:
     """One grid point: fit the selector at penalty ``lam`` and score its selections.
 
-    An error names the penalty.
+    A data or numerical error names the penalty; any other passes unchanged.
     """
     config = replace(base_config, lambda_u=lam, lambda_task=lam)
     try:
@@ -200,8 +193,8 @@ def _path_point(
             for t in range(dataset.n_tasks)
         ]
         evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
-    except Exception as e:
-        raise type(e)(f"penalty {lam}: {e}") from e
+    except BoutsError as e:
+        raise type(e)(f"penalty {lam}: {e}") from None
     uni = universal_features(model)
     spec = [task_specific_features(model, t) for t in range(dataset.n_tasks)]
     return PathPoint(lam=lam, universal=uni, task_specific=spec, ev_train=evs, nae_test=naes)
@@ -232,12 +225,13 @@ def sweep(
     return RegularizationPath(task_names=dataset.task_names, points=points)
 
 
-def select_penalty(path: RegularizationPath, drop: float = 0.10) -> SelectedPenalty:
+def select_penalty(path: RegularizationPath, drop: float = 0.10) -> dict:
     """Largest penalty directly preceding a >``drop`` explained-variance fall.
 
     The reference is each task's explained variance at the smallest penalty.
-    If that reference point itself violates the rule (negative reference),
-    index 0 is returned with the warning flag set.
+    Returns the ``selected_lambda.json`` object ``{"index", "lambda",
+    "warning"}``.  If that reference point itself violates the rule (negative
+    reference), index 0 is returned with the warning flag set.
     """
     if not path.points:
         raise ValueError("empty path")
@@ -248,7 +242,7 @@ def select_penalty(path: RegularizationPath, drop: float = 0.10) -> SelectedPena
     for j, point in enumerate(path.points):
         if any(ev < floor for ev, floor in zip(point.ev_train, floors)):
             if j == 0:
-                return SelectedPenalty(index=0, lam=path.points[0].lam, warning=True)
-            return SelectedPenalty(index=j - 1, lam=path.points[j - 1].lam, warning=False)
+                return {"index": 0, "lambda": path.points[0].lam, "warning": True}
+            return {"index": j - 1, "lambda": path.points[j - 1].lam, "warning": False}
     last = len(path.points) - 1
-    return SelectedPenalty(index=last, lam=path.points[last].lam, warning=False)
+    return {"index": last, "lambda": path.points[last].lam, "warning": False}

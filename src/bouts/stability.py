@@ -55,10 +55,6 @@ class SelectionMatrix:
     def n_replicates(self) -> int:
         return self.Z.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.Z.shape[1]
-
     def csv_rows(self) -> tuple[list[str], list[list[int]]]:
         """Header (the feature names) and one 0/1 row per replicate."""
         return self.feature_names, self.Z.astype(np.int64).tolist()
@@ -99,26 +95,6 @@ def stability(matrix: SelectionMatrix, variant: str = NORMALIZED) -> float:
     return _estimate(matrix, variant)[0]
 
 
-def stability_variance(matrix: SelectionMatrix, variant: str = NORMALIZED) -> float:
-    """Asymptotic variance of the stability estimate (delta method)."""
-    return _estimate(matrix, variant)[1]
-
-
-def stability_ci(
-    matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED
-) -> tuple[float, float]:
-    """Symmetric normal confidence interval around the stability estimate."""
-    return _interval(*_estimate(matrix, variant), alpha)
-
-
-def _interval(phi_hat: float, v: float, alpha: float) -> tuple[float, float]:
-    """The normal interval of level 1 - ``alpha`` around ``phi_hat`` of variance ``v``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    half = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0) * float(np.sqrt(v))
-    return (phi_hat - half, phi_hat + half)
-
-
 def ztest(
     a: SelectionMatrix, b: SelectionMatrix, variant: str = NORMALIZED
 ) -> tuple[float, float]:
@@ -146,14 +122,17 @@ def cohens_d(a: SelectionMatrix, b: SelectionMatrix, variant: str = NORMALIZED) 
 
 
 def make_report(matrix: SelectionMatrix, alpha: float = ALPHA, variant: str = NORMALIZED) -> dict:
-    """One matrix's ``stability_report.json`` entry: Phi-hat, its variance and interval."""
+    """One matrix's ``stability_report.json`` entry: Phi-hat, its delta-method
+    variance and the symmetric normal interval of level 1 - ``alpha`` around it."""
     phi, variance = _estimate(matrix, variant)
-    low, high = _interval(phi, variance, alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    half = statistics.NormalDist().inv_cdf(1.0 - alpha / 2.0) * float(np.sqrt(variance))
     return {
         "stability": phi,
         "variance": variance,
-        "ci_low": low,
-        "ci_high": high,
+        "ci_low": phi - half,
+        "ci_high": phi + half,
         "mean_features_selected": float(matrix.Z.sum(axis=1).mean()),
         "variant": variant,
     }

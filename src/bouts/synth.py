@@ -88,17 +88,6 @@ class SynthSpec:
         return [f"task{t}" for t in range(self.n_tasks)]
 
 
-@dataclass
-class SynthTruth:
-    """The planted index sets, by feature name."""
-
-    universal: list[str]
-    task_specific: dict[str, list[str]]
-
-    def to_dict(self) -> dict:
-        return {"universal": self.universal, "task_specific": self.task_specific}
-
-
 def _signal(cols: np.ndarray, nonlinearity: str) -> np.ndarray:
     """Planted signal from the (n, k) matrix of planted columns.
 
@@ -118,8 +107,12 @@ def _signal(cols: np.ndarray, nonlinearity: str) -> np.ndarray:
     return pairs if k > 1 else cols[:, 0]
 
 
-def generate(spec: SynthSpec) -> tuple[MultitaskDataset, SynthTruth]:
-    """Draw the dataset ``spec`` describes; same parameters, same bits."""
+def generate(spec: SynthSpec) -> tuple[MultitaskDataset, dict]:
+    """Draw the dataset ``spec`` describes; same parameters, same bits.
+
+    Also returns the ``truth.json`` object: the planted sets by feature name,
+    ``{"universal": [...], "task_specific": {task: [...]}}``.
+    """
     names = spec.feature_names
     planted = set(spec.universal)
     for s in spec.task_specific:
@@ -149,18 +142,18 @@ def generate(spec: SynthSpec) -> tuple[MultitaskDataset, SynthTruth]:
                 sample_ids=[f"{spec.task_names[t]}-{i:06d}" for i in range(n)],
             )
         )
-    truth = SynthTruth(
-        universal=sorted(names[j] for j in spec.universal),
-        task_specific={
+    truth = {
+        "universal": sorted(names[j] for j in spec.universal),
+        "task_specific": {
             spec.task_names[t]: sorted(names[j] for j in spec.task_specific[t])
             for t in range(spec.n_tasks)
         },
-    )
+    }
     return MultitaskDataset(tasks=tasks, candidate_features=list(names)), truth
 
 
-def write_outputs(dataset: MultitaskDataset, truth: SynthTruth, outdir: str) -> dict[str, str]:
-    """Write per-task CSVs, the ingestion manifest, and the truth JSON.
+def write_outputs(dataset: MultitaskDataset, truth: dict, outdir: str) -> dict[str, str]:
+    """Write per-task CSVs, the ingestion manifest, and ``truth`` as truth.json.
 
     Returns the paths written, keyed by artifact name.
     """
@@ -177,5 +170,5 @@ def write_outputs(dataset: MultitaskDataset, truth: SynthTruth, outdir: str) -> 
     paths["manifest"] = os.path.join(outdir, "manifest.json")
     paths["truth"] = os.path.join(outdir, "truth.json")
     write_json(paths["manifest"], manifest)
-    write_json(paths["truth"], truth.to_dict())
+    write_json(paths["truth"], truth)
     return paths

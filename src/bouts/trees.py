@@ -99,11 +99,6 @@ class SortedRows:
     # by ``sort_rows`` only, for ``subset``
     ranks: Optional[np.ndarray] = None
 
-    @property
-    def XT(self) -> np.ndarray:
-        """The node's (d, n) rows, gathered (C-ordered, by ``take``) below the root."""
-        return self.root_XT if self.idx is None else self.root_XT.take(self.idx, axis=1)
-
     def column(self, f: int) -> np.ndarray:
         """Feature ``f``'s values at the node's rows, in node order."""
         return self.root_XT[f] if self.idx is None else self.root_XT[f].take(self.idx)
@@ -116,8 +111,8 @@ class SortedRows:
         return float(0.5 * (lo + hi))
 
     def subset(self, idx: np.ndarray) -> "SortedRows":
-        """The ``SortedRows`` of columns ``idx`` of ``XT``, equal to
-        ``sort_rows(XT[:, idx])`` but sorted by the ranks, not the values.
+        """The ``SortedRows`` of columns ``idx`` of ``root_XT``, equal to
+        ``sort_rows(root_XT[:, idx])`` but sorted by the ranks, not the values.
 
         It keeps no ranks: the grower subsets only the root."""
         return SortedRows(self.root_XT, *_packed(self.ranks.take(idx, axis=1)), idx)

@@ -30,9 +30,9 @@ from bouts.pathsweep import PathPoint, RegularizationPath, log_grid, select_pena
 from bouts.stability import (
     SelectionMatrix,
     cohens_d,
+    make_report,
     selection_replicates,
     stability,
-    stability_variance,
     ztest,
 )
 from bouts.synth import SynthSpec, generate
@@ -459,13 +459,13 @@ def test_a3_planted_recovery():
         model = fit(standardized, split, PLANTED_CONFIG)
 
         universal = set(universal_features(model))
-        truth_universal = set(truth.universal)
+        truth_universal = set(truth["universal"])
         recall = len(universal & truth_universal) / len(truth_universal)
         spurious = len(universal - truth_universal)
         if recall == 1.0 and spurious <= 2:
             clean_seeds += 1
         for t, name in enumerate(standardized.task_names):
-            truth_t = set(truth.task_specific[name])
+            truth_t = set(truth["task_specific"][name])
             selected = set(task_specific_features(model, t))
             specific_recalls.append(len(selected & truth_t) / len(truth_t))
     elapsed = time.perf_counter() - started
@@ -645,7 +645,7 @@ def test_a6_stability_statistics_consistency():
             assert phi_of(Z, variant) == pytest.approx(
                 stability(matrix, variant), rel=1e-12
             )
-            v_delta = stability_variance(matrix, variant)
+            v_delta = make_report(matrix, variant=variant)["variance"]
             v_boot = bootstrap_variance(rng, Z, variant)
             assert abs(v_delta - v_boot) <= 0.25 * v_boot, (
                 f"M={M} {variant}: delta {v_delta:.3e} vs bootstrap {v_boot:.3e}"
@@ -741,11 +741,9 @@ def test_a7_path_protocol(planted_fit):
         ],
     )
     chosen = select_penalty(constructed, drop=0.10)
-    assert chosen.index == 1
-    assert chosen.lam == 1.0
-    assert not chosen.warning
+    assert chosen == {"index": 1, "lambda": 1.0, "warning": False}
     print(f"A7 path protocol: PASS (endpoints exact, Spearman {rho:.2f}, "
-          f"cutoff index {chosen.index})")
+          f"cutoff index {chosen['index']})")
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +815,7 @@ def test_a8_degeneration_equivalences():
         )
         assert len(trees) > 0
         assert model2.task_feature_indices(t) == used
-        expected = np.zeros(task.n_samples)
+        expected = np.zeros(len(task.y))
         for tree in trees:
             expected += 0.1 * tree.predict(0, task.X)
         diff = float(np.max(np.abs(model2.predict(t, task.X) - expected)))

@@ -59,7 +59,7 @@ def all_train_split(dataset):
     T = dataset.n_tasks
     return SplitAssignment(
         seed=0,
-        train=[np.arange(t.n_samples) for t in dataset.tasks],
+        train=[np.arange(len(t.y)) for t in dataset.tasks],
         val=[np.array([], dtype=np.intp) for _ in range(T)],
         test=[np.array([], dtype=np.intp) for _ in range(T)],
     )

@@ -559,6 +559,29 @@ class TestModelFile:
                 "x_mean holds a non-finite number") in err
         assert not (tmp_path / "pred.csv").exists()
 
+    @pytest.mark.parametrize(
+        "defect,problem",
+        [("missing x_std", "missing key 'x_std'"), ("a list", "list indices must be integers")],
+    )
+    def test_malformed_standardizer_names_its_task(
+        self, defect, problem, synth_dir, fit_dir, tmp_path, capsys
+    ):
+        bundle = read_json(os.path.join(fit_dir, "model.json"))
+        if defect == "a list":
+            bundle["standardizers"]["task1"] = []
+        else:
+            del bundle["standardizers"]["task1"]["x_std"]
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(bundle))
+        code = run(
+            "predict", "--model", str(bad), "--data", os.path.join(synth_dir, "task1.csv"),
+            "--task", "task1", "--out", str(tmp_path / "pred.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert f"{bad}: invalid model file: standardizer of task 'task1': {problem}" in err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_boolean_task_count_of_a_one_task_model_exits_data(self, tmp_path, capsys):
         # True == 1, so only a type check tells this from the one task it covers.
         data, out = str(tmp_path / "data"), str(tmp_path / "fit")
@@ -836,6 +859,12 @@ class TestExitCodes:
             ("path", {"drop": 0}, "drop"),
             ("stability", {"alpha": 2}, "alpha"),
             ("path", {"lambda_u": 1.0}, "lambda_u"),
+            ("fit", {"ratios": [0.5, 0.5]}, "ratios"),
+            ("path", {"ratios": [0.9, 0.2, -0.1]}, "ratios"),
+            ("fit", {"ratios": [0.7, 0.2, 0.2]}, "ratios"),
+            ("fit", {"seed": -1}, "seed"),
+            ("path", {"seed": -1}, "seed"),
+            ("stability", {"seed": -1}, "seed"),
         ],
     )
     def test_bad_config_key_or_type_exits_usage(
@@ -855,6 +884,24 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert str(cfg_path) in err and repr(key) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "path", "stability"])
+    def test_negative_seed_flag_exits_usage_before_loading(
+        self, command, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a negative seed reached the data")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        code = exit_code(
+            command, "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), "--seed", "-1",
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["path", "stability"])
     @pytest.mark.parametrize("given", ["flag 0", "flag -3", "config 0", "config -1", "config 1.5"])
@@ -949,6 +996,7 @@ class TestExitCodes:
             (("--specific", "3;4"), "--specific has 2 entries for --tasks 3"),
             (("--universal", "0", "--specific", "0;1;2"), "specific features [0] overlap"),
             (("--specific", "5;5;5"), "features [5] appear in every task's specific set"),
+            (("--seed", "-1"), "argument --seed: must be an integer >= 0"),
         ],
     )
     def test_bad_synth_flags_exit_usage_naming_the_flag(self, flags, named, tmp_path, capsys):

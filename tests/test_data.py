@@ -347,7 +347,7 @@ def read_of(path, features, select):
         return str(e)
     keep = [j for j, f in enumerate(task.feature_names) if f in features]
     if select:  # the columns not asked for are never parsed
-        rest = [j for j in range(task.n_features) if j not in keep]
+        rest = [j for j in range(task.X.shape[1]) if j not in keep]
         assert np.isnan(task.X[:, rest]).all()
     return task.feature_names, task.sample_ids, task.X[:, keep].tobytes(), task.y.tobytes()
 
@@ -577,7 +577,7 @@ class TestOverlapSplit:
         assert len(labels) == len({s for t in tasks for s in t.sample_ids})
         for t, task in enumerate(tasks):
             merged = np.concatenate([split.train[t], split.val[t], split.test[t]])
-            assert sorted(merged.tolist()) == list(range(task.n_samples))
+            assert sorted(merged.tolist()) == list(range(len(task.y)))
 
 
 class TestStandardizer:

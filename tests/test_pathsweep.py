@@ -92,36 +92,36 @@ def path_of(ev_rows):
 class TestSelectPenalty:
     def test_flat_path_keeps_largest_penalty(self):
         sel = select_penalty(path_of([[0.9], [0.9], [0.9], [0.9]]))
-        assert (sel.index, sel.lam, sel.warning) == (3, 4.0, False)
+        assert sel == {"index": 3, "lambda": 4.0, "warning": False}
 
     def test_first_violation_steps_back_one(self):
         sel = select_penalty(path_of([[0.90], [0.89], [0.75]]))
-        assert (sel.index, sel.lam, sel.warning) == (1, 2.0, False)
+        assert sel == {"index": 1, "lambda": 2.0, "warning": False}
 
     def test_exactly_at_floor_is_not_a_violation(self):
         sel = select_penalty(path_of([[0.90], [0.81]]))
-        assert (sel.index, sel.warning) == (1, False)
+        assert (sel["index"], sel["warning"]) == (1, False)
 
     def test_single_point(self):
         sel = select_penalty(path_of([[0.5]]))
-        assert (sel.index, sel.warning) == (0, False)
+        assert (sel["index"], sel["warning"]) == (0, False)
 
     def test_negative_reference_warns(self):
         sel = select_penalty(path_of([[-0.1], [-0.05]]))
-        assert (sel.index, sel.warning) == (0, True)
+        assert (sel["index"], sel["warning"]) == (0, True)
 
     def test_any_task_can_trigger(self):
         sel = select_penalty(path_of([[0.9, 0.9], [0.9, 0.5]]))
-        assert sel.index == 0 and not sel.warning
+        assert sel["index"] == 0 and not sel["warning"]
 
     def test_appending_points_after_violation_changes_nothing(self):
         rows = [[0.90], [0.89], [0.75]]
         longer = rows + [[0.95], [0.2]]
-        assert select_penalty(path_of(rows)).index == select_penalty(path_of(longer)).index
+        assert select_penalty(path_of(rows)) == select_penalty(path_of(longer))
 
     def test_custom_drop(self):
         sel = select_penalty(path_of([[0.9], [0.5], [0.4]]), drop=0.5)
-        assert sel.index == 1
+        assert sel["index"] == 1
         with pytest.raises(ValueError, match="drop"):
             select_penalty(path_of([[0.9]]), drop=0.0)
         with pytest.raises(ValueError, match="drop"):
@@ -260,6 +260,25 @@ class TestSweep:
         split.train[1] = np.array([], dtype=np.intp)
         with pytest.raises(DataError, match="penalty 0.25:"):
             sweep(data, split, self.base_config(), grid=[0.25])
+
+    def test_other_errors_pass_unchanged(self, monkeypatch):
+        # Rebuilding this error from one message would itself fail, as numpy's
+        # out-of-memory error does.
+        class TwoArgumentError(Exception):
+            def __init__(self, message, detail):
+                super().__init__(message, detail)
+
+        raised = TwoArgumentError("out of memory", 42)
+
+        def failing_fit(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(pathsweep, "fit", failing_fit)
+        data = small_dataset()
+        split = overlap_split(data.tasks, seed=0)
+        with pytest.raises(TwoArgumentError) as info:
+            sweep(data, split, self.base_config(), grid=[0.25], jobs=1)
+        assert info.value is raised
 
     def test_empty_grid_rejected(self):
         data = small_dataset()

@@ -18,8 +18,6 @@ from bouts.stability import (
     make_report,
     selection_replicates,
     stability,
-    stability_ci,
-    stability_variance,
     ztest,
 )
 from bouts.synth import SynthSpec, generate
@@ -107,40 +105,46 @@ class TestStability:
         assert paper <= 1.0 + 1e-12
         assert paper >= 1.0 - 0.25 * M / (M - 1) - 1e-12
         k = m.Z.sum(axis=1)
-        if 0 < k.mean() < m.n_features:
+        if 0 < k.mean() < m.Z.shape[1]:
             assert stability(m, NORMALIZED) <= paper + 1e-12
+
+
+def variance(m, variant):
+    """The delta-method variance of ``m``'s stability, as ``make_report`` gives it."""
+    return make_report(m, variant=variant)["variance"]
 
 
 class TestStabilityVariance:
     def test_identical_rows_have_zero_variance(self):
         m = matrix([[1, 0, 1]] * 4)
-        assert stability_variance(m, PAPER_FORMULA) == 0.0
-        assert stability_variance(m, NORMALIZED) == 0.0
+        assert variance(m, PAPER_FORMULA) == 0.0
+        assert variance(m, NORMALIZED) == 0.0
 
     def test_frozen_value(self):
-        assert stability_variance(matrix(ZA), PAPER_FORMULA) == pytest.approx(2.0 / 243.0)
-        assert stability_variance(matrix(ZB), PAPER_FORMULA) == pytest.approx(1.0 / 486.0)
+        assert variance(matrix(ZA), PAPER_FORMULA) == pytest.approx(2.0 / 243.0)
+        assert variance(matrix(ZB), PAPER_FORMULA) == pytest.approx(1.0 / 486.0)
 
     def test_nonnegative_on_random_matrices(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             Z = rng.integers(0, 2, size=(rng.integers(2, 12), rng.integers(1, 6)))
             m = matrix(Z)
-            assert stability_variance(m, PAPER_FORMULA) >= 0.0
+            assert variance(m, PAPER_FORMULA) >= 0.0
             k = m.Z.sum(axis=1)
-            if 0 < k.mean() < m.n_features:
-                assert stability_variance(m, NORMALIZED) >= 0.0
+            if 0 < k.mean() < m.Z.shape[1]:
+                assert variance(m, NORMALIZED) >= 0.0
 
     def test_ci_is_symmetric_normal_interval(self):
         m = matrix(ZA)
-        low, high = stability_ci(m, alpha=0.05, variant=PAPER_FORMULA)
+        report = make_report(m, alpha=0.05, variant=PAPER_FORMULA)
+        low, high = report["ci_low"], report["ci_high"]
         half = 1.959963984540054 * math.sqrt(2.0 / 243.0)  # normal quantile at 0.975
         assert (low + high) / 2.0 == pytest.approx(2.0 / 3.0)
         assert high - low == pytest.approx(2.0 * half, rel=1e-15)
-        narrow = stability_ci(m, alpha=0.32, variant=PAPER_FORMULA)
-        assert narrow[1] - narrow[0] < high - low
+        narrow = make_report(m, alpha=0.32, variant=PAPER_FORMULA)
+        assert narrow["ci_high"] - narrow["ci_low"] < high - low
         with pytest.raises(ValueError, match="alpha"):
-            stability_ci(m, alpha=0.0)
+            make_report(m, alpha=0.0)
 
 
 class TestZtestAndEffectSize:
@@ -183,8 +187,7 @@ class TestReport:
         m = matrix([[1, 1, 0], [1, 0, 0]])
         report = make_report(m, alpha=0.05, variant=PAPER_FORMULA)
         assert report["stability"] == stability(m, PAPER_FORMULA)
-        assert report["variance"] == stability_variance(m, PAPER_FORMULA)
-        assert (report["ci_low"], report["ci_high"]) == stability_ci(m, 0.05, PAPER_FORMULA)
+        assert report["variance"] == 0.0  # both rows have influence value 1/6
         assert report["ci_low"] <= report["stability"] <= report["ci_high"]
         assert report["mean_features_selected"] == 1.5
         assert report["variant"] == PAPER_FORMULA

@@ -107,10 +107,12 @@ class TestGenerate:
     def test_shapes_names_and_truth(self):
         data, truth = generate(base_spec(n_samples=[30, 40]))
         assert data.task_names == ["task0", "task1"]
-        assert [t.n_samples for t in data.tasks] == [30, 40]
+        assert [len(t.y) for t in data.tasks] == [30, 40]
         assert data.candidate_features == base_spec().feature_names
-        assert truth.universal == ["f000", "f001"]
-        assert truth.task_specific == {"task0": ["f002"], "task1": ["f003"]}
+        assert truth == {
+            "universal": ["f000", "f001"],
+            "task_specific": {"task0": ["f002"], "task1": ["f003"]},
+        }
         assert data.tasks[1].sample_ids[0] == "task1-000000"
 
     def test_bit_exact_determinism(self):
@@ -189,7 +191,7 @@ class TestWriteOutputs:
             np.testing.assert_array_equal(got.X, orig.X)  # repr round-trips floats
             np.testing.assert_array_equal(got.y, orig.y)
         doc = json.loads((tmp_path / "out" / "truth.json").read_text())
-        assert doc == truth.to_dict()
+        assert doc == truth
 
     def test_manifest_paths_are_relative(self, tmp_path):
         data, truth = generate(base_spec())
