@@ -66,6 +66,7 @@ def _ints(text: str) -> list[int]:
 INTEGER, NUMBER, STRING = Kind("an integer", int), Kind("a number", float), Kind("a string", str)
 COUNT = Kind("an integer >= 1", int, lambda v: v >= 1)
 SIZE = Kind("an integer >= 0", int, lambda v: v >= 0)
+REPLICATES = Kind("an integer >= 2", int, lambda v: v >= 2)
 FRACTION = Kind("a number in (0, 1)", float, lambda v: 0 < v < 1)
 BASE = Kind('a number or "e"', lambda text: math.e if text == "e" else float(text))
 RATIOS = Kind("three positive numbers summing to 1", None, valid_ratios)
@@ -155,7 +156,7 @@ PATH = (
 STABILITY = (
     SEED,
     JOBS,
-    Option("replicates", INTEGER, "--replicates"),
+    Option("replicates", REPLICATES, "--replicates"),
     Option("stability_variant", STRING, "--stability-variant", VARIANTS),
     Option("alpha", FRACTION),
 )
@@ -298,6 +299,9 @@ def cmd_path(args: argparse.Namespace) -> int:
 def cmd_stability(args: argparse.Namespace) -> int:
     cfg = _settings(args)
     config = _boost_config(cfg)
+    for opt in BOOST[:2]:  # the stage budgets: a replicate compares the two stages
+        if (rounds := getattr(config, opt.key)) < 1:
+            raise ValueError(f"stability needs {opt.flag} ({opt.key!r}) >= 1, got {rounds}")
     dataset = load_manifest(args.manifest)
     variant = cfg.get("stability_variant", NORMALIZED)
     alpha = cfg.get("alpha", ALPHA)

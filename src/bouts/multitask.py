@@ -7,19 +7,19 @@ feature, and the feature with the largest worst-task gain wins.
 
 This is the package's only tree.  A single-task tree is the T=1 case, where the
 maximin rule reduces to the plain argmax of the penalized gain; stage-2 boosting
-and the downstream re-fits grow such trees.  ``maximin_split`` reads one
-prepared node per task (``trees.SortedRows``): it takes candidate splits from
-``trees.scan_columns``, skipping on later tasks the features the first rules
-out, and re-scores only the candidates the scan cannot tell apart from a
-feature's best with the definition, ``trees.raw_gain``, at the node's own
-``SortedRows.threshold``.  ``MultitaskTree`` keeps its nodes in flat arrays,
-which ``MultitaskTree.of_nodes`` builds from one record per node for the grower
-and the decoder alike, and owns the two on-disk node layouts: per-task lists for
-universal trees and scalars for T=1 stage-2 trees.  The grower takes each task's
-prepared root, prepares every node below it once with ``SortedRows.subset`` (an
-integer sort of the root's ranks of its rows, which it does not copy), routes
-the node's rows on those, and returns the leaf each training row reached, so
-boosting never routes its own training rows.  Other rows take
+and the downstream re-fits grow such trees.  ``maximin_split`` reads one node
+per task (``trees.SortedRows``): it sorts and scans every feature only on the
+lead task, the one with the fewest root rows, and the other tasks only on the
+features that can still win.  It re-scores only the candidates the scan cannot
+tell apart from a feature's best with the definition, ``trees.raw_gain``, at
+``SortedRows.threshold`` of the scanned order.  ``MultitaskTree`` keeps its
+nodes in flat arrays, which ``MultitaskTree.of_nodes`` builds from one record
+per node for the grower and the decoder alike, and owns the two on-disk node
+layouts: per-task lists for universal trees and scalars for T=1 stage-2 trees.
+The grower takes each task's prepared root, makes every node below it a view
+of the root's rows with ``SortedRows.subset`` (which sorts nothing and copies
+no rows), routes the node's rows on those, and returns the leaf each training
+row reached, so boosting never routes its own training rows.  Other rows take
 ``MultitaskTree.route``: on feature-major columns, a node compares its whole
 column with its threshold once and hands each child the mask of its rows, and
 each leaf writes its value under its mask with one exact masked store.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
@@ -58,62 +57,78 @@ def maximin_split(
     """Shared split feature maximizing the minimum per-task penalized gain.
 
     ``nodes`` holds one prepared node per task and ``ys`` its targets.  Pass
-    one scores every feature: each task maximizes over its own midpoint
-    thresholds, the per-feature score is the min across tasks, and the argmax
-    feature wins (lowest index on ties).  Pass two re-scores, for each feature
-    within the tie margin of the best score and each task, every candidate
-    within the tie margin of that task's best with the definition-based
-    ``raw_gain`` and keeps the first maximum (the lowest threshold on ties), so
-    near-ties cannot be misordered by scan arithmetic.  Returns None when the
-    score is <= ``params.min_gain``.  With T > 1, pass one scans later tasks
-    only on features whose first-task penalized gain is within the tie margin
-    of ``lb``, the first task's best feature's score: no feature scores above
-    its first-task gain, and scan rows are computed alone, so this is exact.
+    one scores features: each task maximizes over its own midpoint thresholds,
+    the per-feature score is the min across tasks, and the argmax feature wins
+    (lowest index on ties).  It scans every feature only on the lead task, the
+    one with the fewest root rows (the lowest index on ties), whose penalized
+    gains bound the scores.  The other tasks scan features best lead gain
+    first, in batches of 1, 2, 4, ..., while the next lead gain is within the
+    tie margin of ``lb``, the best score so far (-inf rules out only -inf).  A
+    feature past that can neither win nor tie, and scan rows are computed
+    alone, so this is exact.  Pass two re-scores, for each feature within the
+    tie margin of the best score and each task, every candidate within the tie
+    margin of that task's best with the definition-based ``raw_gain`` and keeps
+    the first maximum (the lowest threshold on ties), so near-ties cannot be
+    misordered by scan arithmetic.  Returns None when the score is <=
+    ``params.min_gain``.
     """
     if not nodes or len(ys) != len(nodes):
         raise ValueError("need one node and one target vector per task")
-    d = len(nodes[0].order)
+    d = nodes[0].root_XT.shape[0]
     m = params.min_samples_leaf
     charges = np.full(d, float(lambda_u))  # the charge for adding each feature
-    charges[list(used_universal)] = 0.0
-    row_max = partial(np.maximum.reduce, axis=1, initial=-np.inf)
+    if used_universal:
+        charges[list(used_universal)] = 0.0
+    sizes = [node.root_XT.shape[1] for node in nodes]
+    lead = sizes.index(min(sizes))  # the fewest root rows, the lowest index on ties
+    others = [t for t in range(len(nodes)) if t != lead]
 
-    def scan(t: int, rows) -> np.ndarray:  # task t's candidate gains on features ``rows``
-        node = nodes[t]
-        return scan_columns(node.order[rows], node.distinct[rows], ys[t], m, params.criterion)
+    def scan(t: int, features) -> tuple:  # task t's order, candidate gains and bests on features
+        order, distinct = nodes[t].rows(features)
+        cand = scan_columns(order, distinct, ys[t], m, params.criterion)
+        return order, cand, np.maximum.reduce(cand, axis=1, initial=-np.inf)
 
-    # Per task: the candidate gains and each feature's best, on the features in keep.
-    cands = [scan(0, slice(None))]
-    raws = [row_max(cands[0])]
-    keep, others = np.arange(d), range(1, len(nodes))
-    if others and d:
-        first = raws[0] - charges  # each feature's first-task penalized gain
-        b = int(first.argmax())
-        lb = min(first[b], *(row_max(scan(t, slice(b, b + 1)))[0] - charges[b] for t in others))
-        # lb = -inf rules nothing out: keep every feature with a finite gain.
-        low = lb - TIE_MARGIN * max(1.0, abs(lb)) if lb > -np.inf else np.nextafter(-np.inf, 0)
-        keep = (first >= low).nonzero()[0]
-        cands = [cands[0][keep], *(scan(t, keep) for t in others)]
-        raws = [raws[0][keep], *map(row_max, cands[1:])]
+    # Per task, the scans of its batches of features; the lead's one batch is every feature.
+    scans = [[scan(t, slice(None))] if t == lead else [] for t in range(len(nodes))]
     # -inf (no candidate) stays -inf, and so does any gain charged lambda = inf.
-    score = reduce(np.minimum, [raw - charges[keep] for raw in raws])
+    score = scans[lead][0][2] - charges  # the lead's penalized gains, then the min over tasks
+    if others:
+        rank = np.argsort(-score, kind="stable")  # best lead gain first, ties by index
+        lb, low, start = -math.inf, np.nextafter(-np.inf, 0), 0  # -inf rules out only -inf
+        while start < d and score[rank[start]] >= low:
+            batch = rank[start : 2 * start + 1]  # sizes 1, 2, 4, ...
+            charge, worst = charges[batch], score[batch]
+            for t in others:
+                scans[t].append(scan(t, batch))
+                np.minimum(worst, scans[t][-1][2] - charge, out=worst)
+            score[batch] = worst
+            lb = max(lb, float(worst.max()))
+            if lb > -math.inf:
+                low = lb - TIE_MARGIN * max(1.0, abs(lb))
+            start = 2 * start + 1
+        # Each scanned feature's batch and row: batch b holds rank places 2**b .. 2**(b + 1) - 1.
+        at = {f: (p.bit_length() - 1, p - (1 << (p.bit_length() - 1)))
+              for p, f in enumerate(rank[:start].tolist(), 1)}
+
     s_max = float(np.maximum.reduce(score, initial=-np.inf))
     if not math.isfinite(s_max):
         return None
     tol = TIE_MARGIN * max(1.0, abs(s_max))
     if s_max <= params.min_gain - tol:
         return None
-    shortlist = (score >= s_max - tol).nonzero()[0]
     best = None  # (score, feature, per-task (penalized gain, threshold, raw))
-    for i, f in zip(shortlist.tolist(), keep[shortlist].tolist()):
+    for f in (score >= s_max - tol).nonzero()[0].tolist():
         charge = float(charges[f])
         task_best = []
-        for node, y, cand, raw in zip(nodes, ys, cands, raws):
+        for t, (node, y) in enumerate(zip(nodes, ys)):
+            b, i = (0, f) if t == lead else at[f]
+            order, cand, raw = scans[t][b]
+            order, cand, raw = order[i], cand[i], raw[i]
             x = node.column(f)
-            near = (cand[i] >= raw[i] - TIE_MARGIN * max(1.0, abs(raw[i]))).nonzero()[0]
+            near = (cand >= raw - TIE_MARGIN * max(1.0, abs(raw))).nonzero()[0]
             top = None  # (penalized gain, threshold, raw gain)
             for j in near.tolist():
-                v = node.threshold(f, j, m)
+                v = node.threshold(f, j, m, order)
                 g_raw = raw_gain(x, y, v, params.criterion)
                 if top is None or g_raw - charge > top[0]:
                     top = (g_raw - charge, v, g_raw)
@@ -325,8 +340,8 @@ def grow_multitask_tree(
         records.append(None)  # filled in once its children are numbered
         split = None
         if depth < params.max_depth and min(idx.size for idx in idxs) >= min_split:
-            # The root reads every row and is prepared; any other node is
-            # prepared once from the root's ranks of its rows.
+            # The root reads every row and is prepared; any other node is a
+            # view that sorts the root's ranks of its rows as the search asks.
             if depth == 0:
                 nodes, node_ys = roots, ys
             else:

@@ -6,15 +6,16 @@ is not yet in the model's used-feature set.  Candidate thresholds are the
 midpoints between consecutive distinct sorted values of each feature, so an
 exhaustive enumeration oracle is well defined.
 
-A node's rows are prepared once into ``SortedRows``: each feature's sort order
-by (value, row) and which sorted neighbours differ.  Boosting prepares each
-task's root once per run with ``sort_rows``, since the root sees the same rows
-in every round.  That is the one float sort; it also keeps each feature's dense
-ranks (equal values share a rank).  The grower prepares every other node with
-``SortedRows.subset``: one integer sort of the node's gathered ranks, each
-packed with its row's position in the node into one key.  A node keeps the
-root's feature-major (d, n) matrix and its rows' indices, not a copy of its
-rows; ``SortedRows.column`` gathers the one feature a search or split reads.
+A node's rows are ``SortedRows``, whose ``rows`` give each asked-for feature's
+sort order by (value, row) and which sorted neighbours differ.  Boosting
+prepares each task's root once per run with ``sort_rows``, since the root sees
+the same rows in every round.  That is the one float sort; it also keeps each
+feature's dense ranks (equal values share a rank).  ``SortedRows.subset`` makes
+every other node, a view that sorts a feature only when asked: one integer sort
+of the node's gathered ranks, each packed with its row's position in the node
+into one key.  A node keeps the root's feature-major (d, n) matrix and its
+rows' indices, not a copy of its rows; ``SortedRows.column`` gathers the one
+feature a search or split reads.
 ``scan_columns`` is the one enumeration of candidate splits: it scores every
 boundary of every feature of a prepared node at once with prefix sums, both
 criteria as one expression, (s_left - n_left * mean)^2 times a weight per
@@ -89,33 +90,49 @@ TIE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class SortedRows:
-    """One node's rows, as indices into the root's rows, with each feature's sort order."""
+    """One node's rows, as indices into the root's rows, sorted per feature on demand."""
 
     root_XT: np.ndarray  # (d, N) the root's rows, one per feature
-    order: np.ndarray  # (d, n) each feature's node positions by (value, position)
-    distinct: np.ndarray  # (d, n - 1) whether sorted value j + 1 exceeds value j
     idx: Optional[np.ndarray] = None  # (n,) the node's columns of root_XT; None: all
-    # (d, n) each value's dense rank in its row (equal values share one); kept
-    # by ``sort_rows`` only, for ``subset``
+    root: Optional["SortedRows"] = None  # the prepared root of a node from ``subset``
+    # Kept by ``sort_rows`` only: every feature's ``rows`` at the root, and each
+    # value's dense rank in its row (equal values share one), for ``subset``.
+    prepared: tuple = ()
     ranks: Optional[np.ndarray] = None
+
+    def rows(self, features) -> tuple[np.ndarray, np.ndarray]:
+        """``order`` and ``distinct`` of ``features``, an index array or a slice:
+        each one's (k, n) node positions by (value, position), and (k, n - 1)
+        whether sorted value j + 1 exceeds value j.  The root returns its
+        prepared rows; a node from ``subset`` sorts those features only."""
+        if self.root is None:
+            order, distinct = self.prepared
+            return order[features], distinct[features]
+        ranks = self.root.ranks
+        ranks = ranks[features] if isinstance(features, slice) else ranks.take(features, axis=0)
+        return _packed(ranks.take(self.idx, axis=1))
+
+    order = property(lambda self: self.rows(slice(None))[0])
+    distinct = property(lambda self: self.rows(slice(None))[1])
 
     def column(self, f: int) -> np.ndarray:
         """Feature ``f``'s values at the node's rows, in node order."""
         return self.root_XT[f] if self.idx is None else self.root_XT[f].take(self.idx)
 
-    def threshold(self, f: int, j: int, min_samples_leaf: int) -> float:
+    def threshold(self, f: int, j: int, min_samples_leaf: int, order=None) -> float:
         """The threshold of ``scan_columns``' column ``j`` for feature ``f``: the
-        midpoint of its sorted values m + j - 1 and m + j, m = ``min_samples_leaf``."""
-        k = min_samples_leaf + j
-        lo, hi = self.column(f)[self.order[f, k - 1 : k + 1]]
+        midpoint of its sorted values m + j - 1 and m + j, m = ``min_samples_leaf``.
+        ``order`` is f's row of ``rows`` as scanned; None sorts it here."""
+        order = self.rows([f])[0][0] if order is None else order
+        pair = order[min_samples_leaf + j - 1 : min_samples_leaf + j + 1]
+        lo, hi = self.root_XT[f].take(pair if self.idx is None else self.idx.take(pair))
         return float(0.5 * (lo + hi))
 
     def subset(self, idx: np.ndarray) -> "SortedRows":
-        """The ``SortedRows`` of columns ``idx`` of ``root_XT``, equal to
-        ``sort_rows(root_XT[:, idx])`` but sorted by the ranks, not the values.
-
-        It keeps no ranks: the grower subsets only the root."""
-        return SortedRows(self.root_XT, *_packed(self.ranks.take(idx, axis=1)), idx)
+        """The node of columns ``idx`` of the root ``root_XT``, sorted on demand:
+        its ``rows`` equal those of ``sort_rows(root_XT[:, idx])``, sorted by the
+        root's ranks, not the values.  Only a root from ``sort_rows`` has subsets."""
+        return SortedRows(self.root_XT, idx, self)
 
 
 def _packed(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +165,7 @@ def sort_rows(XT: np.ndarray) -> SortedRows:
     np.cumsum(xs[:, 1:] > xs[:, :-1], axis=1, out=dense[:, 1:])
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, by_value, dense, axis=1)
-    return SortedRows(XT, *_packed(ranks), ranks=ranks)
+    return SortedRows(XT, prepared=_packed(ranks), ranks=ranks)
 
 
 def scan_columns(

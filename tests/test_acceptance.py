@@ -331,6 +331,60 @@ def test_a2_maximin_oracle_equivalence_when_tasks_skip_features(case):
     assert_brute_force_split(got, brute_force_maximin(Xs, ys, used, lam, params))
 
 
+@st.composite
+def unequal_nodes(draw):
+    """2 to 4 tasks on 1 to 10 tie-free or level columns, whose fewest rows are
+    not the first task's, with pure-noise targets or targets that step on one feature."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, d = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+    columns = draw(st.sampled_from([continuous_columns, level_columns]))
+    sizes = [int(rng.integers(12, 40)) for _ in range(T)]
+    sizes[draw(st.integers(1, T - 1))] = int(rng.integers(4, 12))  # the lead
+    Xs = [columns(rng, n, d) for n in sizes]
+    signal = int(rng.integers(0, d)) if draw(st.booleans()) else None
+    ys = [random_targets(rng, X) if signal is None
+          else 2.0 * (X[:, signal] > np.median(X[:, signal])) + 0.5 * rng.normal(size=len(X))
+          for X in Xs]
+    used = {f for f in range(d) if rng.random() < 0.3}
+    params = TreeParams(
+        max_depth=1,
+        min_samples_leaf=draw(st.integers(1, 2)),
+        min_gain=0.0,
+        criterion=draw(st.sampled_from(CRITERIA)),
+    )
+    return Xs, ys, used, draw(st.sampled_from([0.0, 0.5, 5.0, math.inf])), params
+
+
+@given(unequal_nodes())
+@settings(max_examples=150, deadline=None)
+def test_a2_maximin_oracle_equivalence_when_a_later_task_leads(case):
+    """A2 on nodes whose smallest task, which scans every feature, is not the first."""
+    Xs, ys, used, lam, params = case
+    lead = min(range(len(Xs)), key=lambda t: len(Xs[t]))
+    with mock.patch.object(multitask, "scan_columns", wraps=scan_columns) as scan:
+        got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)
+    first = scan.call_args_list[0].args
+    assert first[0].shape[0] == Xs[0].shape[1] and first[2] is ys[lead]
+    assert_brute_force_split(got, brute_force_maximin(Xs, ys, used, lam, params))
+
+
+@given(unequal_nodes(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_maximin_split_does_not_depend_on_the_task_order(case, random):
+    """Permuting the tasks picks the same feature and score and permutes the
+    per-task thresholds and gains alike."""
+    Xs, ys, used, lam, params = case
+    perm = random.sample(range(len(Xs)), len(Xs))
+    got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)
+    moved = maximin_split([prepared(Xs[t]) for t in perm], [ys[t] for t in perm], used, lam, params)
+    if got is None:
+        assert moved is None
+        return
+    assert (moved.feature, moved.score) == (got.feature, got.score)
+    for key in ("thresholds", "gains", "raw_gains"):
+        assert getattr(moved, key) == tuple(getattr(got, key)[t] for t in perm), key
+
+
 def continuous_columns(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """Feature matrix without a repeated value in any column."""
     return rng.normal(size=(n, d))

@@ -931,6 +931,38 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "jobs" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "given, named",
+        [
+            (("--replicates", "1"), "argument --replicates: must be an integer >= 2, got '1'"),
+            (("--replicates", "0"), "argument --replicates: must be an integer >= 2, got '0'"),
+            (("--rounds-task", "0"), "--rounds-task ('rounds_task') >= 1, got 0"),
+            (("--rounds-universal", "0"), "--rounds-universal ('rounds_universal') >= 1, got 0"),
+            ({"replicates": 1}, "'replicates' must be an integer >= 2"),
+            ({"rounds_task": 0}, "--rounds-task ('rounds_task') >= 1, got 0"),
+            ({"rounds_universal": 0, "rounds_task": 3}, "--rounds-universal ('rounds_universal')"),
+        ],
+    )
+    def test_stability_budgets_exit_usage_before_loading(
+        self, given, named, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a bad stability budget reached the data")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        if isinstance(given, dict):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(given))
+            given = ("--config", str(cfg_path))
+        code = exit_code(
+            "stability", "--manifest", os.path.join(synth_dir, "manifest.json"),
+            "--out", str(tmp_path / "out"), *given,
+        )
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", ["--lambda", "--min-gain"])
     def test_nan_penalty_or_gain_floor_exits_usage(self, flag, synth_dir, tmp_path, capsys):
         code = run(

@@ -160,25 +160,27 @@ class TestMaximinSplit:
         assert split.feature == 0
         assert split.thresholds == (9.5, 9.5)
 
-    def test_tasks_after_the_first_scan_only_features_it_cannot_rule_out(self, monkeypatch):
+    def test_tasks_beside_the_lead_scan_only_features_that_can_win(self, monkeypatch):
         rng = np.random.default_rng(17)
         d = 10
         pairs = []
-        for _ in range(3):
-            X = rng.normal(size=(60, d))
-            pairs.append((X, 2.0 * X[:, 0] + 0.1 * rng.normal(size=60)))
-        rows = []
+        for n in (60, 40, 50):  # task 1 has the fewest rows, so it leads
+            X = rng.normal(size=(n, d))
+            pairs.append((X, 2.0 * X[:, 0] + 0.1 * rng.normal(size=n)))
+        nodes, ys = view(pairs)
+        rows = {t: [] for t in range(3)}  # per task, the features of each scan
 
-        def recording(order, *args):
-            rows.append(len(order))
-            return scan_columns(order, *args)
+        def recording(order, distinct, y, *args):
+            rows[next(t for t in rows if y is ys[t])].append(len(order))
+            return scan_columns(order, distinct, y, *args)
 
         monkeypatch.setattr(multitask, "scan_columns", recording)
-        got = maximin_split(*view(pairs), {0}, 0.5, LOOSE)
+        got = maximin_split(nodes, ys, {0}, 0.5, LOOSE)
         want = brute_force_maximin(pairs, {0}, 0.5, LOOSE)
         assert got.feature == want[1] == 0
-        assert rows[0] == d  # the first task scans every feature
-        assert len(rows) == 5 and max(rows[1:]) < d
+        assert got.score == pytest.approx(want[0], abs=1e-12)
+        assert rows[1] == [d]  # the lead scans every feature, once
+        assert all(0 < sum(rows[t]) < d for t in (0, 2))
 
     def test_universality_of_gain(self):
         rng = np.random.default_rng(12)

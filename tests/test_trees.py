@@ -161,6 +161,22 @@ class TestSubset:
         for f, j in np.ndindex(XT.shape[0], max(idx.size - 1, 0)):
             assert got.threshold(f, j, 1) == want.threshold(f, j, 1)
 
+    @given(rows_and_subset(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_some_features_are_those_of_the_gathered_node(self, case, data):
+        XT, idx = case
+        d = XT.shape[0]
+        index_arrays = st.lists(st.integers(0, d - 1), max_size=2 * d).map(
+            lambda fs: np.array(fs, dtype=np.intp))
+        ends = st.none() | st.integers(-d - 1, d + 1)
+        slices = st.builds(slice, ends, ends, st.sampled_from([None, 1, 2, -1]))
+        features = data.draw(index_arrays | slices)
+        want = sort_rows(XT[:, idx])
+        order, distinct = sort_rows(XT).subset(idx).rows(features)
+        np.testing.assert_array_equal(order, want.order[features])
+        np.testing.assert_array_equal(distinct, want.distinct[features])
+        assert order.dtype == np.intp
+
     def test_node_arrays_are_c_contiguous_and_keep_no_ranks(self):
         XT = np.random.default_rng(3).normal(size=(4, 30))
         root = sort_rows(XT)
