@@ -14,6 +14,7 @@ numbers, such as the training MSE, come only through the ``on_round`` hooks.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import AbstractSet, Callable, Iterable, Optional, Sequence, Union
 
@@ -332,20 +333,25 @@ def _call_with_shared(fn: Callable, item):
     return fn(*_shared, item)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def pool_map(fn: Callable, items: Iterable, jobs: int = 1, shared: tuple = ()) -> list:
     """``[fn(*shared, item) for item in items]``, over up to ``jobs`` processes.
 
-    The pool has ``min(jobs, len(items))`` workers; with one, everything
-    runs in this process.  ``shared`` (the data every item reads) goes to
-    each worker once, through the pool initializer; only ``item`` goes with
-    each call, so ``fn`` must be a module-level function.  Results come back
+    The pool has ``min(jobs, len(items), usable_cpus())`` workers; with one,
+    everything runs in this process.  ``shared`` (the data every item reads)
+    goes to each worker once, through the pool initializer; only ``item`` goes
+    with each call, so ``fn`` must be a module-level function.  Results come back
     in item order, and the first item to fail, in item order, raises its
     error, as in the serial loop.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
-    workers = min(jobs, len(items))
+    workers = min(jobs, len(items), usable_cpus())
     if workers <= 1:
         return [fn(*shared, item) for item in items]
     from concurrent.futures import ProcessPoolExecutor  # its import costs a serial run 6 ms

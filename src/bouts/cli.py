@@ -4,7 +4,8 @@
 declared once in an ``Option`` table whose kind gives its type and range.  The first
 three also take them as keys of a ``--config`` JSON file (flags win); ``synth`` takes
 no ``--config``.  An unknown key, or a value of the wrong type or out of range, is a
-usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
+usage error.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error
+or out of memory.
 """
 
 from __future__ import annotations
@@ -211,11 +212,7 @@ def _boost_config(cfg: dict) -> BoostConfig:
 
 def _jobs(cfg: dict) -> int:
     """Worker processes: ``jobs`` if given, else the CPUs this process may run on."""
-    if "jobs" in cfg:
-        return cfg["jobs"]
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return cfg["jobs"] if "jobs" in cfg else boosting.usable_cpus()
 
 
 def _naming(manifest: str, run, *args, **kwargs):
@@ -497,6 +494,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DATA
     except NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as e:  # raised here or re-raised from a pool worker
+        print(f"error: bouts {args.command}: out of memory: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, BoutsError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,9 +20,10 @@ The grower takes each task's prepared root, makes every node below it a view
 of the root's rows with ``SortedRows.subset`` (which sorts nothing and copies
 no rows), routes the node's rows on those, and returns the leaf each training
 row reached, so boosting never routes its own training rows.  Other rows take
-``MultitaskTree.route``: on feature-major columns, a node compares its whole
-column with its threshold once and hands each child the mask of its rows, and
-each leaf writes its value under its mask with one exact masked store.
+``MultitaskTree.route``: on feature-major columns, each row carries the index
+of the node it has reached, a split compares its whole column with its
+threshold once and moves its rows to a child by adding to their indices, and
+one gather of the leaf values writes every row.
 """
 
 from __future__ import annotations
@@ -215,27 +216,37 @@ class MultitaskTree:
         ``XT[f]`` holds feature f of every row, and ties go left.  A NaN raises
         NumericalError only if a row that reaches a split on its column holds
         it.  ``nans`` caches each column's NaN mask (None: no NaN) across calls.
+
+        Each row carries the index of the node it has reached, in the smallest
+        unsigned type that holds them all.  Splits run in node order, each after
+        its parent: split ``i`` compares its column once, steps its rows to its
+        left child ``i + 1`` and those that go right on to ``right[i]``.  One
+        gather of the leaf values writes ``out`` (a ``-0.0`` leaf keeps its sign).
         """
-        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
-        thresholds, values = self.thresholds[:, task].tolist(), self.values[:, task].tolist()
-        stack = [(0, True)]  # (node, mask of the rows that reach it; True: every row)
-        while stack:
-            i, reach = stack.pop()
-            f = feature[i]
-            if f == self.LEAF:
-                if reach is True:  # the root is a leaf
-                    out.fill(values[i])
-                else:
-                    np.putmask(out, reach, values[i])
+        LEAF, feature, right = self.LEAF, self.feature.tolist(), self.right.tolist()
+        thresholds = self.thresholds[:, task].tolist()
+        dtype = np.min_scalar_type(self.n_nodes - 1)
+        node = np.zeros(len(out), dtype=dtype)  # the node each row has reached
+        reach = {0: True}  # the mask of the rows that reach each split ahead; True: every row
+        for i, f in enumerate(feature):
+            if f == LEAF:
                 continue
-            col = XT[f]
+            at, r, col = reach.pop(i), right[i], XT[f]
             if f not in nans:  # the column's NaN mask, kept only if it holds a NaN
                 nans[f] = nan if (nan := np.isnan(col)).any() else None
-            if nans[f] is not None and (nans[f] & reach).any():
+            if nans[f] is not None and (nans[f] & at).any():
                 raise NumericalError(f"NaN at feature index {f} during prediction")
             go_left = col <= thresholds[i]
-            stack += ((right[i], reach > go_left), (left[i], reach & go_left))
-        return out
+            to_right = at > go_left
+            np.add(node, at, out=node, dtype=dtype)
+            step = to_right if r == i + 2 else np.multiply(to_right, r - i - 1, dtype=dtype)
+            np.add(node, step, out=node, dtype=dtype)
+            if feature[i + 1] != LEAF:
+                reach[i + 1] = at & go_left
+            if feature[r] != LEAF:
+                reach[r] = to_right
+        # Every index is in range, and mode="clip" writes straight into out.
+        return self.values[:, task].take(node, out=out, mode="clip")
 
     def to_dict(self, scalar: bool = False) -> dict:
         """Node list with per-task fields; ``scalar`` writes a T=1 tree in the
@@ -262,9 +273,10 @@ class MultitaskTree:
 
         Raises DataError unless the tree covers ``n_tasks`` tasks (an int, not
         a bool), every per-task field has that many finite entries, every
-        split feature is below ``n_features``, and every child index points
-        forward (past its parent) inside the node list, which rules out cycles
-        before anything is routed.  Missing keys raise KeyError.
+        split feature is below ``n_features``, and the nodes form one tree as
+        ``route`` reads it: a split's left child is the next node, its right
+        child a later one, and each node but the root has one parent, which
+        rules out cycles before anything is routed.  Missing keys raise KeyError.
         """
         scalar = "n_tasks" not in d
         covered = d.get("n_tasks", 1)
@@ -291,11 +303,15 @@ class MultitaskTree:
             f, left, right = node["feature"], node["left"], node["right"]
             if type(f) is not int or not 0 <= f < n_features:
                 raise DataError(f"node {i}: feature index {f!r} is not in 0..{n_features - 1}")
-            for child in (left, right):
-                if type(child) is not int or not i < child < n:
-                    raise DataError(f"node {i}: child index {child!r} is not in {i + 1}..{n - 1}")
+            if type(left) is not int or left != i + 1:
+                raise DataError(f"node {i}: left child {left!r} is not the next node, {i + 1}")
+            if type(right) is not int or not i + 1 < right < n:
+                raise DataError(f"node {i}: right child {right!r} is not in {i + 2}..{n - 1}")
             thresholds, gains, penalized_gains = (get(node, key, i) for key in _SPLIT_KEYS)
             records.append((f, left, right, thresholds, nans, gains, penalized_gains))
+        children = sorted(c for record in records for c in record[1:3] if c != cls.LEAF)
+        if children != list(range(1, n)):
+            raise DataError("the nodes are not one tree: a node is the child of no split or of two")
         return cls.of_nodes(records)
 
 

@@ -301,8 +301,9 @@ def test_a2_maximin_oracle_equivalence():
 
 @st.composite
 def prunable_nodes(draw):
-    """2 or 3 tasks on 8 to 12 tie-free or level columns, whose targets step
-    at the median of one used feature, so the first task rules most features out."""
+    """2 or 3 tasks of 8 to 24 rows on 8 to 12 tie-free or level columns, whose
+    targets step at the median of one used feature, so the lead task (the one
+    with the fewest rows) rules most features out."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     T, d = draw(st.sampled_from([2, 3])), draw(st.integers(8, 12))
     columns = draw(st.sampled_from([continuous_columns, level_columns]))
@@ -323,7 +324,7 @@ def prunable_nodes(draw):
 @given(prunable_nodes())
 @settings(max_examples=150, deadline=None)
 def test_a2_maximin_oracle_equivalence_when_tasks_skip_features(case):
-    """A2 on nodes where the tasks after the first scan fewer than d features."""
+    """A2 on nodes where the tasks beside the lead scan fewer than d features."""
     Xs, ys, used, lam, params = case
     with mock.patch.object(multitask, "scan_columns", wraps=scan_columns) as scan:
         got = maximin_split([prepared(X) for X in Xs], ys, used, lam, params)

@@ -8,6 +8,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bouts import boosting, pathsweep
 from bouts.boosting import (
@@ -667,6 +668,104 @@ class TestFlatTreeRouting:
             tree.predict(0, X)
 
 
+def deep_tree(n_tasks, depth, seed):
+    """A tree grown to ``depth`` with one-row leaves on 300 rows of 4 features
+    with tied values.  Each task's rows are a monotone transform of one shared
+    set, so the tasks agree on every partition and the tree grows as deep as a
+    one-task tree, while each task keeps its own thresholds and leaf values."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(300, 4)).round(1)
+    y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=300)
+    roots = [sort_rows(np.ascontiguousarray((X * (t + 1) + t).T)) for t in range(n_tasks)]
+    ys = [y * (t + 1) + t for t in range(n_tasks)]
+    params = TreeParams(max_depth=depth, min_samples_leaf=1)
+    return grow_multitask_tree(roots, ys, params=params)[0]
+
+
+def path_features(tree, t, row):
+    """The features of the splits ``row`` passes for task t on its way to a leaf."""
+    used, i = set(), 0
+    while not tree.is_leaf(i):
+        used.add(int(tree.feature[i]))
+        i = tree.left[i] if row[tree.feature[i]] <= tree.thresholds[i][t] else tree.right[i]
+    return used
+
+
+def tied_rows(tree, t, n_rows, rng):
+    """Rows of 5 columns (the last one no tree splits on) whose split-on cells
+    are the tree's thresholds for task t, some nudged to the next float either
+    way, and random values; each row then holds a NaN in one column that no
+    split on its path reads."""
+    X = rng.normal(size=(n_rows, 5)) * (t + 1) + t
+    for f in tree.features_used:
+        at = tree.thresholds[tree.feature == f, t]
+        cells = rng.choice(at, n_rows)
+        nudge = rng.integers(0, 4, n_rows)  # 0: the threshold; 1, 2: a float away; 3: random
+        cells[nudge == 1] = np.nextafter(cells[nudge == 1], -np.inf)
+        cells[nudge == 2] = np.nextafter(cells[nudge == 2], np.inf)
+        X[:, f] = np.where(nudge == 3, X[:, f], cells)
+    for row in X:
+        row[rng.choice(sorted(set(range(5)) - path_features(tree, t, row)))] = np.nan
+    return X
+
+
+class TestNodeIndexRouting:
+    @given(depth=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    def test_route_equals_a_walk_one_row_at_a_time(self, n_tasks, depth, seed):
+        tree = deep_tree(n_tasks, depth, seed)
+        rng = np.random.default_rng(seed)
+        for t in range(n_tasks):
+            X = tied_rows(tree, t, 200, rng)
+            got = tree.route(t, np.ascontiguousarray(X.T), {}, np.full(len(X), np.nan))
+            assert got.tobytes() == walk(tree, t, X).tobytes()
+
+    @pytest.mark.parametrize("n_tasks", [1, 3])
+    def test_a_tree_of_more_than_255_nodes_routes_like_a_walk(self, n_tasks):
+        tree = deep_tree(n_tasks, 10, seed=2)
+        assert tree.n_nodes > 255  # its node indices need 16 bits
+        rng = np.random.default_rng(4)
+        for t in range(n_tasks):
+            X = tied_rows(tree, t, 2000, rng)
+            got = tree.predict(t, X)
+            assert got.tobytes() == walk(tree, t, X).tobytes()
+            assert np.isin(got, tree.values[256:, t]).any()  # rows reach nodes past 255
+
+    def test_a_right_child_more_than_255_nodes_past_its_left_child(self):
+        # The root's left subtree is a chain of 130 splits on feature 1, each
+        # sending x1 <= -k left; its right child, a leaf, is node 262.
+        chain, zeros, LEAF = 130, [0.0], MultitaskTree.LEAF
+        records = []
+
+        def build(k):
+            i = len(records)
+            records.append(None)
+            if k == chain:
+                records[i] = (LEAF, LEAF, LEAF, zeros, [float(i)], zeros, zeros)
+                return i
+            left = build(k + 1)
+            right = len(records)
+            records.append((LEAF, LEAF, LEAF, zeros, [float(right)], zeros, zeros))
+            records[i] = (1, left, right, [-float(k)], [np.nan], zeros, zeros)
+            return i
+
+        records.append(None)  # the root, on feature 0 at 0
+        build(0)
+        records[0] = (0, 1, len(records), [0.0], [np.nan], zeros, zeros)
+        records.append((LEAF, LEAF, LEAF, zeros, [-1.0], zeros, zeros))
+        tree = MultitaskTree.of_nodes(records)
+        assert tree.right[0] == 262
+        # Each x1 in -132..2 against x0 = -1, 0 and 1: x0 = 1 goes right at the
+        # root, and the others reach all 131 leaves of the chain.
+        x1 = np.arange(-chain - 2, 3.0)
+        X = np.column_stack([np.repeat([-1.0, 0.0, 1.0], len(x1)), np.tile(x1, 3)])
+        got = tree.predict(0, X)
+        assert got.tobytes() == walk(tree, 0, X).tobytes()
+        np.testing.assert_array_equal(got[X[:, 0] > 0], -1.0)
+        assert len(np.unique(got)) == chain + 2
+
+
 def _offset_or_fail(offset: int, item: int) -> int:
     """A pool worker: ``offset + item``, or a DataError naming items 3 and up."""
     if item >= 3:
@@ -698,6 +797,9 @@ class TestPoolMap:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # The CPUs this process may run on cap the pool; show 64, as on a large host.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         return pools
 
     @pytest.mark.parametrize("caller", ["selection_replicates", "sweep"])
@@ -727,6 +829,16 @@ class TestPoolMap:
         assert shared[0] is data
         assert len(pool.calls) == 3
         assert max(map(len, pool.calls)) < len(pickle.dumps(data)) / 20
+
+    def test_jobs_is_capped_at_the_cpus_this_process_may_run_on(self, pools, monkeypatch):
+        items = [0, 1, 2] * 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert pool_map(_offset_or_fail, items, 5000, (10,)) == [10, 11, 12] * 3
+        (pool,) = pools
+        assert pool.workers == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert pool_map(_offset_or_fail, items, 5000, (10,)) == [10, 11, 12] * 3
+        assert len(pools) == 1  # one CPU: the calls run here, in no pool
 
     def test_one_job_starts_no_pool(self, pools):
         assert pool_map(_offset_or_fail, range(3), 1, (10,)) == [10, 11, 12]

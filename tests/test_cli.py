@@ -8,6 +8,7 @@ failure cases.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import csv
 import functools
@@ -1274,6 +1275,50 @@ class TestExitCodes:
         # That replicate's split does leave the one nonzero x0 row out of train.
         train = overlap_split(load_manifest(str(manifest)).tasks, seed=seed).train[0]
         assert 0 not in train
+
+    @pytest.mark.parametrize("where", ["this process", "a pool worker"])
+    def test_out_of_memory_exits_numerical_naming_the_command(
+        self, where, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        # numpy's message for the array `synth --features 100000 --samples 100000000`
+        # would need; nothing that large is allocated here.
+        message = (
+            "Unable to allocate 72.8 TiB for an array with shape (100000000, 100000) "
+            "and data type float64"
+        )
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        if where == "this process":
+            command = "synth"
+            monkeypatch.setattr(cli.synth_mod, "generate", refuse)
+            args = ("--tasks", "1", "--features", "100000", "--samples", "100000000")
+        else:
+
+            class OutOfMemoryPool:
+                """A pool whose results arrive as the MemoryError a worker raised."""
+
+                def __init__(self, *args, **kwargs):
+                    pass
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    return False
+
+                map = staticmethod(refuse)
+
+            command = "stability"
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OutOfMemoryPool)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            args = ("--manifest", os.path.join(synth_dir, "manifest.json"), "--jobs", "2",
+                    "--replicates", "2", "--rounds-universal", "1", "--rounds-task", "1")
+        code = run(command, *args, "--out", str(tmp_path / "out"))
+        assert code == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"error: bouts {command}: out of memory: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bouts import multitask
+from bouts.errors import DataError
 from bouts.multitask import (
     MultitaskTree,
     grow_multitask_tree,
@@ -267,3 +268,26 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.thresholds, tree.thresholds)
         for t in range(2):
             assert np.allclose(clone.predict(t, Xs[t]), tree.predict(t, Xs[t]))
+
+    @pytest.mark.parametrize(
+        "links,problem",
+        [
+            ({0: (2, 4)}, "node 0: left child 2 is not the next node, 1"),
+            ({1: (2, 2)}, r"node 1: right child 2 is not in 3\.\.4"),
+            ({1: (2, 4)}, "the nodes are not one tree"),  # node 4 has two parents, node 3 none
+        ],
+    )
+    def test_nodes_not_laid_out_as_one_depth_first_tree_are_refused(self, links, problem):
+        # Root on feature 0 with children 1 and 4; node 1 on feature 1 with leaves 2 and 3.
+        split = {"thresholds": [0.0], "gains": [1.0], "penalized_gains": [1.0]}
+        nodes = [
+            {"feature": 0, "left": 1, "right": 4, **split},
+            {"feature": 1, "left": 2, "right": 3, **split},
+            *({"values": [float(v)]} for v in range(3)),
+        ]
+        tree = {"n_tasks": 1, "nodes": nodes}
+        assert MultitaskTree.from_dict(tree, 2, 1).n_nodes == 5
+        for i, (left, right) in links.items():
+            nodes[i].update(left=left, right=right)
+        with pytest.raises(DataError, match=problem):
+            MultitaskTree.from_dict(tree, 2, 1)
