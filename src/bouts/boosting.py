@@ -31,7 +31,8 @@ from .trees import TreeParams, sort_rows
 DEGENERATE_TOL = 1e-12
 
 OnRound = Callable[[str, object, object], None]
-RoundHook = Callable[[int, list[np.ndarray], list[np.ndarray]], None]
+# ``_boost``'s hook: the accepted tree count and the live residuals, one per task.
+RoundHook = Callable[[int, list[np.ndarray]], None]
 
 
 @dataclass
@@ -92,11 +93,10 @@ def _boost(
 
     Grows up to ``rounds`` shared trees on the current ``residuals``,
     updating them in place, and calls ``on_round`` (if given) after each
-    accepted round with the tree count, the live residuals and the round's
-    per-task update of the training predictions.  Returns the accepted trees
-    and a new set: ``used`` plus every feature they split on.  A round
-    producing a single leaf with every value ~0 is skipped; since nothing
-    changed, every later round would repeat it, so the loop exits.
+    accepted round with the tree count and the live residuals.  Returns the
+    accepted trees and a new set: ``used`` plus every feature they split on.
+    A round producing a single leaf with every value ~0 is skipped; since
+    nothing changed, every later round would repeat it, so the loop exits.
     """
     used_now = set(used)
     if rounds <= 0:  # a stage switched off prepares nothing
@@ -111,11 +111,10 @@ def _boost(
         trees.append(tree)
         used_now |= tree.features_used
         # The grower saw where each training row landed: no routing needed.
-        steps = [learning_rate * tree.values[leaves, t] for t, leaves in enumerate(leaf_of_row)]
-        for residual, step in zip(residuals, steps):
-            residual -= step
+        for t, (residual, leaves) in enumerate(zip(residuals, leaf_of_row)):
+            residual -= tree.step(t, leaves, learning_rate)
         if on_round is not None:
-            on_round(len(trees), residuals, steps)
+            on_round(len(trees), residuals)
     return trees, used_now
 
 
@@ -133,15 +132,23 @@ def fit_single_task(
 
     Features in ``used`` split free of ``lam``.  Returns the accepted T=1
     trees and a new set: ``used`` plus every feature they split on.  After
-    each accepted round, ``on_round`` gets the tree count, ``[residual]``
-    and ``[step]``, the round's update of the training predictions
-    (``learning_rate`` times each row's leaf).  Both arrays are live: copy
-    what you keep.
+    each accepted round, ``on_round`` gets the tree count and ``[residual]``,
+    the training targets minus ``learning_rate`` times each accepted tree's
+    leaf per row.  The residual is live: copy what you keep.
     """
     residuals = [np.array(y, dtype=np.float64)]
     return _boost(
         [X], residuals, rounds, learning_rate, lam, used or (), params or TreeParams(), on_round
     )
+
+
+def add_trees(out: np.ndarray, pairs: Iterable[tuple[MultitaskTree, int]], XT, beta: float):
+    """Add ``beta`` times each ``(tree, column)`` pair's leaf value to ``out``,
+    one tree after another in order: ``XT[f]`` holds feature f of every row."""
+    nans, step = {}, np.empty(len(out))
+    for tree, column in pairs:
+        out += tree.step(column, tree.route(column, XT, len(out), nans), beta, out=step)
+    return out
 
 
 @dataclass
@@ -171,25 +178,30 @@ class BoutsModel:
         self._check_task(t)
         return set().union(*(tree.features_used for tree in self.task_trees[t]))
 
+    def trees(self, t: int) -> list[tuple[MultitaskTree, int]]:
+        """Task t's trees in the order its prediction sums them, each with the
+        column that holds task t: the universal trees at t, then its own at 0."""
+        self._check_task(t)
+        own = [(tree, 0) for tree in self.task_trees[t]]
+        return [(tree, t) for tree in self.universal_trees] + own
+
+    def features(self, t: int) -> list[int]:
+        """The sorted indices of the features task t's trees split on."""
+        return sorted(set().union(*(tree.features_used for tree, _ in self.trees(t))))
+
     def predict(self, t: int, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise DataError(
                 f"expected {len(self.feature_names)} feature columns, got shape {X.shape}"
             )
-        used = sorted(self.universal_feature_indices | self.task_feature_indices(t))
+        used = self.features(t)
         return self.predict_columns(t, dict(zip(used, X.T[used])), len(X))
 
     def predict_columns(self, t: int, XT, n_rows: int) -> np.ndarray:
         """``predict`` on feature-major columns: ``XT[f]`` is feature f of every row."""
-        self._check_task(t)
-        out, leaves, nans = np.full(n_rows, self.f0[t]), np.empty(n_rows), {}
-        beta = self.config.learning_rate
-        for mtree in self.universal_trees:
-            out += np.multiply(mtree.route(t, XT, nans, leaves), beta, out=leaves)
-        for tree in self.task_trees[t]:
-            out += np.multiply(tree.route(0, XT, nans, leaves), beta, out=leaves)
-        return out
+        pairs = self.trees(t)  # checks t before f0[t] is read
+        return add_trees(np.full(n_rows, self.f0[t]), pairs, XT, self.config.learning_rate)
 
     def to_dict(self) -> dict:
         return {
@@ -265,7 +277,7 @@ def fit(
     beta = config.learning_rate
     cb = None
     if on_round is not None:
-        cb = lambda b, res, _: on_round("universal", b, [r.copy() for r in res])
+        cb = lambda b, res: on_round("universal", b, [r.copy() for r in res])
     universal_trees, universal_used = _boost(
         Xs, residuals, config.rounds_universal, beta, config.lambda_u, (), config.tree, cb
     )
@@ -274,7 +286,7 @@ def fit(
     for t in range(T):
         cb = None
         if on_round is not None:
-            cb = lambda b, res, _, _t=t: on_round("task", (_t, b), res[0].copy())
+            cb = lambda b, res, _t=t: on_round("task", (_t, b), res[0].copy())
         trees, _ = fit_single_task(
             Xs[t], residuals[t], config.rounds_task, beta, lambda_tasks[t], universal_used,
             config.tree, cb,
@@ -304,12 +316,8 @@ def task_specific_features(model: BoutsModel, t: int) -> list[str]:
 
 def feature_importances(model: BoutsModel, t: int) -> dict[str, float]:
     """Share of total raw split gain per feature for task t's trees."""
-    model._check_task(t)
     totals: dict[int, float] = {}
-    # Universal trees carry task t's gains in column t; stage-2 trees are T=1.
-    components = [(tree, t) for tree in model.universal_trees]
-    components += [(tree, 0) for tree in model.task_trees[t]]
-    for tree, k in components:
+    for tree, k in model.trees(t):
         split = tree.feature != tree.LEAF
         for f, g in zip(tree.feature[split].tolist(), tree.gains[split, k].tolist()):
             totals[f] = totals.get(f, 0.0) + g

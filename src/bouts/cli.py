@@ -428,7 +428,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     standardizer = standardizers[t]
 
     # Only the columns task t's trees split on are parsed, standardized and routed on.
-    used = sorted(model.universal_feature_indices | model.task_feature_indices(t))
+    used = model.features(t)
     task = load_task_csv(args.data, task_name, {model.feature_names[j] for j in used})
     pos = {f: i for i, f in enumerate(task.feature_names)}
     missing = [f for f in model.feature_names if f not in pos]

@@ -20,10 +20,12 @@ The grower takes each task's prepared root, makes every node below it a view
 of the root's rows with ``SortedRows.subset`` (which sorts nothing and copies
 no rows), routes the node's rows on those, and returns the leaf each training
 row reached, so boosting never routes its own training rows.  Other rows take
-``MultitaskTree.route``: on feature-major columns, each row carries the index
-of the node it has reached, a split compares its whole column with its
-threshold once and moves its rows to a child by adding to their indices, and
-one gather of the leaf values writes every row.
+``MultitaskTree.route``, which returns the same leaf indices: on feature-major
+columns, each row carries the index of the node it has reached, and a split
+compares its whole column with its threshold once and moves its rows to a
+child by adding to their indices.  ``MultitaskTree.step`` turns leaf indices,
+from either source, into a prediction step: the leaf values scaled once, then
+one gather per row.
 """
 
 from __future__ import annotations
@@ -206,27 +208,22 @@ class MultitaskTree:
     def is_stump_leaf(self) -> bool:
         return self.n_nodes == 1 and self.is_leaf(0)
 
-    def predict(self, task: int, X: np.ndarray) -> np.ndarray:
-        """This tree's predictions for one task: ``route`` on the columns of ``X``."""
-        X = np.asarray(X, dtype=np.float64)
-        return self.route(task, X.T, {}, np.empty(len(X)))
-
-    def route(self, task: int, XT, nans: dict, out: np.ndarray) -> np.ndarray:
-        """Write into ``out`` the leaf value for ``task`` that each row reaches:
-        ``XT[f]`` holds feature f of every row, and ties go left.  A NaN raises
+    def route(self, task: int, XT, n_rows: int, nans: dict) -> np.ndarray:
+        """The index of the leaf that each of ``n_rows`` rows reaches for ``task``,
+        as the grower's ``leaf_of_row`` gives for its training rows: ``XT[f]``
+        holds feature f of every row, and ties go left.  A NaN raises
         NumericalError only if a row that reaches a split on its column holds
         it.  ``nans`` caches each column's NaN mask (None: no NaN) across calls.
 
         Each row carries the index of the node it has reached, in the smallest
         unsigned type that holds them all.  Splits run in node order, each after
         its parent: split ``i`` compares its column once, steps its rows to its
-        left child ``i + 1`` and those that go right on to ``right[i]``.  One
-        gather of the leaf values writes ``out`` (a ``-0.0`` leaf keeps its sign).
+        left child ``i + 1`` and those that go right on to ``right[i]``.
         """
         LEAF, feature, right = self.LEAF, self.feature.tolist(), self.right.tolist()
         thresholds = self.thresholds[:, task].tolist()
         dtype = np.min_scalar_type(self.n_nodes - 1)
-        node = np.zeros(len(out), dtype=dtype)  # the node each row has reached
+        node = np.zeros(n_rows, dtype=dtype)  # the node each row has reached
         reach = {0: True}  # the mask of the rows that reach each split ahead; True: every row
         for i, f in enumerate(feature):
             if f == LEAF:
@@ -245,8 +242,14 @@ class MultitaskTree:
                 reach[i + 1] = at & go_left
             if feature[r] != LEAF:
                 reach[r] = to_right
+        return node
+
+    def step(self, task: int, leaves: np.ndarray, scale: float, out=None) -> np.ndarray:
+        """``scale`` times the value for ``task`` of each leaf in ``leaves``: the
+        leaf values are scaled once and gathered per row, so a row holds the same
+        product as ``scale * value`` (a ``-0.0`` leaf keeps its sign)."""
         # Every index is in range, and mode="clip" writes straight into out.
-        return self.values[:, task].take(node, out=out, mode="clip")
+        return np.multiply(self.values[:, task], scale).take(leaves, out=out, mode="clip")
 
     def to_dict(self, scalar: bool = False) -> dict:
         """Node list with per-task fields; ``scalar`` writes a T=1 tree in the

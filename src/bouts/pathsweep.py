@@ -21,6 +21,7 @@ import numpy as np
 
 from .boosting import (
     BoostConfig,
+    add_trees,
     fit,
     fit_single_task,
     pool_map,
@@ -131,50 +132,42 @@ def downstream_scores(
     The (depth, rounds) pair comes from a small grid scored by validation
     MSE; a fit with ``max(rounds)`` trees is truncated to score the smaller
     budget, which is exact because the greedy sequence is deterministic.
-    Returns per-task training explained variance and test absolute errors.
+    Each budget's predictions of the training, validation and test rows are
+    one ``boosting.add_trees`` sum.  Returns per-task training explained
+    variance and test absolute errors.
     """
     evs: list[float] = []
     naes: list[np.ndarray] = []
     beta = DOWNSTREAM_LEARNING_RATE
     for t, task in enumerate(dataset.tasks):
         cols = sorted(selected[t])
-        ytr, yva, yte = (task.y[part[t]] for part in (split.train, split.val, split.test))
+        parts = [part[t] for part in (split.train, split.val, split.test)]
+        ytr, yva, yte = (task.y[idx] for idx in parts)
         if not cols:
             evs.append(0.0)
             naes.append(np.abs(yte))
             continue
-        Xtr = task.X[np.ix_(split.train[t], cols)]
-        # Validation rows, then test rows, feature-major: each tree routes both at once.
-        XvtT = task.X.T[np.ix_(cols, np.concatenate([split.val[t], split.test[t]]))]
-        n_va = len(yva)
+        # Training, validation and test rows, feature-major: each tree routes all at once.
+        XT = task.X.T[np.ix_(cols, np.concatenate(parts))]
+        n_tr, n_va = len(ytr), len(yva)
         best = None
         for depth in DOWNSTREAM_DEPTHS:
-            # Training rows are not routed: their leaf values, summed in tree order.
-            f_tr, f_tr_at = np.zeros(len(ytr)), {}
-
-            def on_round(b: int, _, steps: list[np.ndarray], f_tr=f_tr, f_tr_at=f_tr_at) -> None:
-                f_tr += steps[0]
-                if b in DOWNSTREAM_ROUNDS:
-                    f_tr_at[b] = f_tr.copy()
-
             params = replace(tree_params, max_depth=depth)
             trees, _ = fit_single_task(
-                Xtr, ytr, max(DOWNSTREAM_ROUNDS), beta, 0.0, params=params, on_round=on_round
+                XT[:, :n_tr].T, ytr, max(DOWNSTREAM_ROUNDS), beta, params=params
             )
-            f_tr_at[len(trees)] = f_tr
-            f_vt, leaves, nans = np.zeros(XvtT.shape[1]), np.empty(XvtT.shape[1]), {}
-            done = 0
+            f, done = np.zeros(XT.shape[1]), 0
             for mark in sorted({min(r, len(trees)) for r in DOWNSTREAM_ROUNDS}):
-                for tree in trees[done:mark]:
-                    f_vt += np.multiply(tree.route(0, XvtT, nans, leaves), beta, out=leaves)
+                add_trees(f, [(tree, 0) for tree in trees[done:mark]], XT, beta)
                 done = mark
-                fit_error = yva - f_vt[:n_va] if n_va else ytr - f_tr_at[mark]
-                ev = explained_variance(ytr, f_tr_at[mark])
-                cand = (float(np.mean(fit_error**2)), depth, mark, ev, np.abs(yte - f_vt[n_va:]))
+                f_tr, f_va, f_te = np.split(f, [n_tr, n_tr + n_va])
+                fit_error = yva - f_va if n_va else ytr - f_tr
+                ev = explained_variance(ytr, f_tr)
+                cand = (float(np.mean(fit_error**2)), ev, np.abs(yte - f_te))
                 if best is None or cand[0] < best[0]:
                     best = cand
-        evs.append(float(best[3]))
-        naes.append(best[4])
+        evs.append(best[1])
+        naes.append(best[2])
     return evs, naes
 
 
@@ -188,10 +181,7 @@ def _path_point(
     config = replace(base_config, lambda_u=lam, lambda_task=lam)
     try:
         model = fit(dataset, split, config)
-        selected = [
-            model.universal_feature_indices | model.task_feature_indices(t)
-            for t in range(dataset.n_tasks)
-        ]
+        selected = [model.features(t) for t in range(dataset.n_tasks)]
         evs, naes = downstream_scores(dataset, split, selected, base_config.tree)
     except BoutsError as e:
         raise type(e)(f"penalty {lam}: {e}") from None

@@ -112,18 +112,14 @@ class SortedRows:
         ranks = ranks[features] if isinstance(features, slice) else ranks.take(features, axis=0)
         return _packed(ranks.take(self.idx, axis=1))
 
-    order = property(lambda self: self.rows(slice(None))[0])
-    distinct = property(lambda self: self.rows(slice(None))[1])
-
     def column(self, f: int) -> np.ndarray:
         """Feature ``f``'s values at the node's rows, in node order."""
         return self.root_XT[f] if self.idx is None else self.root_XT[f].take(self.idx)
 
-    def threshold(self, f: int, j: int, min_samples_leaf: int, order=None) -> float:
+    def threshold(self, f: int, j: int, min_samples_leaf: int, order: np.ndarray) -> float:
         """The threshold of ``scan_columns``' column ``j`` for feature ``f``: the
         midpoint of its sorted values m + j - 1 and m + j, m = ``min_samples_leaf``.
-        ``order`` is f's row of ``rows`` as scanned; None sorts it here."""
-        order = self.rows([f])[0][0] if order is None else order
+        ``order`` is f's row of ``rows`` as scanned."""
         pair = order[min_samples_leaf + j - 1 : min_samples_leaf + j + 1]
         lo, hi = self.root_XT[f].take(pair if self.idx is None else self.idx.take(pair))
         return float(0.5 * (lo + hi))

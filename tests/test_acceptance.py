@@ -44,6 +44,7 @@ from bouts.trees import (
     scan_columns,
     sort_rows,
 )
+from helpers import distinct, order, predict, threshold
 
 GAIN_TOL = 1e-12
 PREDICTION_TOL = 1e-12
@@ -419,7 +420,7 @@ def test_scan_matches_the_definition(columns):
         node = prepared(X)
         m = int(rng.integers(1, 3))
         for criterion in CRITERIA:
-            cand = scan_columns(node.order, node.distinct, y, m, criterion)
+            cand = scan_columns(order(node), distinct(node), y, m, criterion)
             assert cand.shape == (d, max(n - 2 * m + 1, 0))
             for f, j in np.ndindex(*cand.shape):
                 xs = np.sort(X[:, f])
@@ -427,7 +428,7 @@ def test_scan_matches_the_definition(columns):
                 assert np.isneginf(cand[f, j]) == (lo == hi)
                 if lo < hi:
                     v = float(0.5 * (lo + hi))
-                    assert node.threshold(f, j, m) == v
+                    assert threshold(node, f, j, m) == v
                     g = raw_gain(X[:, f], y, v, criterion)
                     assert abs(cand[f, j] - g) <= 1e-12 * max(1.0, abs(g))
                     n_checked += 1
@@ -872,7 +873,7 @@ def test_a8_degeneration_equivalences():
         assert model2.task_feature_indices(t) == used
         expected = np.zeros(len(task.y))
         for tree in trees:
-            expected += 0.1 * tree.predict(0, task.X)
+            expected += 0.1 * predict(tree, 0, task.X)
         diff = float(np.max(np.abs(model2.predict(t, task.X) - expected)))
         worst = max(worst, diff)
         assert diff <= PREDICTION_TOL

@@ -28,6 +28,7 @@ from bouts.multitask import MultitaskTree, grow_multitask_tree
 from bouts.stability import selection_replicates
 from bouts.synth import SynthSpec, generate
 from bouts.trees import TreeParams, sort_rows
+from helpers import predict
 
 STUMPS = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=1e-7)
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -53,7 +54,7 @@ def mse_recorder():
     """An ``on_round`` hook for ``fit_single_task`` and the list of training
     MSEs it records, one per accepted round."""
     mses = []
-    return mses, lambda b, residuals, steps: mses.append(float(np.mean(residuals[0] ** 2)))
+    return mses, lambda b, residuals: mses.append(float(np.mean(residuals[0] ** 2)))
 
 
 def all_train_split(dataset):
@@ -175,12 +176,12 @@ class TestFitSingleTask:
         y = X[:, 0] + 0.5 * rng.normal(size=50)
         seen = []
         trees, _ = fit_single_task(
-            X, y, 10, 0.3, params=STUMPS, on_round=lambda b, r, _: seen.append((b, r[0].copy()))
+            X, y, 10, 0.3, params=STUMPS, on_round=lambda b, r: seen.append((b, r[0].copy()))
         )
         assert [b for b, _ in seen] == list(range(1, len(trees) + 1))
         replay = y.astype(float).copy()
         for (b, captured), tree in zip(seen, trees):
-            replay -= 0.3 * tree.predict(0, X)
+            replay -= 0.3 * predict(tree, 0, X)
             np.testing.assert_allclose(captured, replay, atol=1e-12)
 
     def test_penalty_excludes_weak_feature_once_strong_exists(self):
@@ -463,36 +464,29 @@ class TestTrainingRowsAreNotRouted:
             for t in range(T):
                 routed = ys[t].copy()
                 for tree in trees:
-                    routed -= 0.1 * tree.predict(t, Xs[t])
+                    routed -= 0.1 * predict(tree, t, Xs[t])
                 np.testing.assert_array_equal(residuals[t], routed)
 
-    def test_on_step_sums_to_routed_predictions(self):
-        rng = np.random.default_rng(27)
-        X = rng.normal(size=(80, 5))
-        y = np.sin(X[:, 0]) + X[:, 2] + 0.2 * rng.normal(size=80)
-        fitted, snapshots = np.zeros(80), []
 
-        def on_round(b, residual, step):
-            fitted[:] += step[0]
-            snapshots.append(fitted.copy())
-
-        trees, _ = fit_single_task(X, y, 15, 0.1, params=TreeParams(min_samples_leaf=4),
-                                   on_round=on_round)
-        routed = np.zeros(80)
-        for tree, snapshot in zip(trees, snapshots, strict=True):
-            routed += 0.1 * tree.predict(0, X)
-            np.testing.assert_array_equal(snapshot, routed)
-
-
-def walk(tree, t, X):
-    """Task t's prediction of each row of X, one row at a time; ties go left."""
-    walked = []
+def walk_leaves(tree, t, X):
+    """The leaf each row of X reaches for task t, one row at a time; ties go left."""
+    leaves = []
     for row in X:
         i = 0
         while not tree.is_leaf(i):
             i = tree.left[i] if row[tree.feature[i]] <= tree.thresholds[i][t] else tree.right[i]
-        walked.append(tree.values[i][t])
-    return np.array(walked)
+        leaves.append(i)
+    return np.array(leaves, dtype=np.intp)
+
+
+def walk(tree, t, X):
+    """Task t's prediction of each row of X, one row at a time; ties go left."""
+    return tree.values[walk_leaves(tree, t, X), t]
+
+
+def route_rows(tree, t, X):
+    """``tree.route`` of the rows of X for task t: the leaf each row reaches."""
+    return tree.route(t, np.ascontiguousarray(X.T), len(X), {})
 
 
 def hand_tree(n_tasks):
@@ -538,45 +532,46 @@ class TestFlatTreeRouting:
                 for f in tree.features_used:
                     at = tree.thresholds[tree.feature == f, t]
                     X[:, f] = rng.choice(at, 300) + rng.choice([0.0, 0.0, -0.5, 0.5], 300)
-                np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+                np.testing.assert_array_equal(route_rows(tree, t, X), walk_leaves(tree, t, X))
                 tied = X[X[:, f0] == tree.thresholds[0][t]]
                 assert len(tied)
                 below = tied.copy()
                 below[:, f0] = np.nextafter(tree.thresholds[0][t], -np.inf)
-                np.testing.assert_array_equal(tree.predict(t, tied), tree.predict(t, below))
+                np.testing.assert_array_equal(route_rows(tree, t, tied), route_rows(tree, t, below))
 
     def test_nan_held_only_by_rows_that_never_reach_its_split_predicts(self, trees):
         tree = trees[0]  # feature 1 is split on only below the root's left branch
         for t in range(tree.n_tasks):
             X = np.array([[5.0, np.nan], [-5.0, 0.5], [-5.0, -0.5], [5.0, 1.0]])
-            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+            np.testing.assert_array_equal(route_rows(tree, t, X), walk_leaves(tree, t, X))
         # Task 1 sends x0 = 0.5 left (0.5 <= 1) to the NaN; tasks 0 and 2 send it right.
         X = np.array([[0.5, np.nan]])
         for t in range(tree.n_tasks):
             if t == 1:
                 with pytest.raises(NumericalError, match="feature index 1 "):
-                    tree.predict(t, X)
+                    route_rows(tree, t, X)
             else:
-                np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+                np.testing.assert_array_equal(route_rows(tree, t, X), walk_leaves(tree, t, X))
 
     def test_nan_in_a_row_that_reaches_its_split_raises(self, trees):
         tree = trees[0]
         for t in range(tree.n_tasks):
             X = np.array([[5.0, 0.0], [-5.0, np.nan], [5.0, 0.0]])
             with pytest.raises(NumericalError, match="feature index 1 "):
-                tree.predict(t, X)
+                route_rows(tree, t, X)
             X = np.array([[5.0, 0.0], [np.nan, 0.0]])
             with pytest.raises(NumericalError, match="feature index 0 "):
-                tree.predict(t, X)
+                route_rows(tree, t, X)
 
     @pytest.mark.parametrize("n_rows", [0, 1])
     def test_zero_and_one_row(self, trees, n_rows):
         X = np.random.default_rng(6).normal(size=(n_rows, 6))
         for tree in trees:
             for t in range(tree.n_tasks):
-                got = tree.predict(t, X)
-                assert got.shape == (n_rows,)
-                np.testing.assert_array_equal(got, walk(tree, t, X))
+                leaves = route_rows(tree, t, X)
+                assert leaves.shape == (n_rows,)
+                np.testing.assert_array_equal(leaves, walk_leaves(tree, t, X))
+                np.testing.assert_array_equal(tree.step(t, leaves, 1.0), walk(tree, t, X))
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
             model = BoutsModel.from_dict(json.load(fh)["model"])
         X = np.random.default_rng(6).normal(size=(n_rows, len(model.feature_names)))
@@ -592,8 +587,8 @@ class TestFlatTreeRouting:
         layouts = [np.asfortranarray(X), wide[:, 1::2]]
         for tree in trees:
             for t in range(tree.n_tasks):
-                want = tree.predict(t, X).tobytes()
-                assert all(tree.predict(t, other).tobytes() == want for other in layouts)
+                want = route_rows(tree, t, X).tobytes()
+                assert all(route_rows(tree, t, other).tobytes() == want for other in layouts)
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
             model = BoutsModel.from_dict(json.load(fh)["model"])
         X = np.random.default_rng(8).normal(size=(200, len(model.feature_names)))
@@ -604,11 +599,6 @@ class TestFlatTreeRouting:
             for other in (np.asfortranarray(X), wide[:, ::2]):
                 assert model.predict(t, other).tobytes() == want
 
-    @staticmethod
-    def route_over(tree, t, X, fill):
-        """``tree.route`` of X's rows into a buffer that holds ``fill`` beforehand."""
-        return tree.route(t, np.ascontiguousarray(X.T), {}, np.full(len(X), fill))
-
     def test_a_negative_zero_leaf_keeps_its_sign_bit(self):
         # Summing `reach * value` over the leaves would turn -0.0 into +0.0.
         zeros, LEAF = [0.0], MultitaskTree.LEAF
@@ -618,18 +608,32 @@ class TestFlatTreeRouting:
             (LEAF, LEAF, LEAF, zeros, [1.0], zeros, zeros),
         ])
         X = np.array([[-1.0], [1.0], [0.0], [2.0]])
-        got = self.route_over(tree, 0, X, 7.0)
-        np.testing.assert_array_equal(np.signbit(got), [True, False, True, False])
-        np.testing.assert_array_equal(got, [0.0, 1.0, 0.0, 1.0])
+        leaves = route_rows(tree, 0, X)
+        np.testing.assert_array_equal(leaves, [1, 2, 1, 2])
+        for scale in (1.0, 0.1):
+            got = tree.step(0, leaves, scale, out=np.full(4, 7.0))
+            np.testing.assert_array_equal(np.signbit(got), [True, False, True, False])
+            np.testing.assert_array_equal(got, [0.0, scale, 0.0, scale])
+
+    def test_step_is_the_scaled_value_of_each_rows_leaf(self, trees):
+        X = np.random.default_rng(10).normal(size=(300, 6))
+        for tree in trees:
+            for t in range(tree.n_tasks):
+                leaves = route_rows(tree, t, X)
+                for scale in (1.0, 0.1, 0.3):
+                    want = scale * tree.values[walk_leaves(tree, t, X), t]
+                    assert tree.step(t, leaves, scale).tobytes() == want.tobytes()
 
     def test_a_leaf_no_row_reaches_writes_nothing(self):
-        # Every row ends in the first leaf written; the two leaves written after it
+        # Every row ends in the first leaf, node 2; the two leaves after it
         # (the left child's right leaf, then the root's right leaf) reach no row.
         X = np.full((50, 6), -5.0)
         for n_tasks in (1, 3):
             tree = hand_tree(n_tasks)
             for t in range(n_tasks):
-                got = self.route_over(tree, t, X, np.nan)
+                leaves = route_rows(tree, t, X)
+                assert (leaves == 2).all()
+                got = tree.step(t, leaves, 1.0, out=np.full(50, np.nan))
                 assert got.tobytes() == np.full(50, 10.0 + t).tobytes()
 
     def test_a_one_leaf_tree_fills_every_row(self):
@@ -637,9 +641,10 @@ class TestFlatTreeRouting:
         tree = MultitaskTree.of_nodes([(LEAF, LEAF, LEAF, zeros, [-0.0, 2.5, -3.0], zeros, zeros)])
         X = np.random.default_rng(9).normal(size=(40, 6))
         for t, value in enumerate([-0.0, 2.5, -3.0]):
-            got = self.route_over(tree, t, X, np.nan)
+            leaves = route_rows(tree, t, X)
+            assert (leaves == 0).all()
+            got = tree.step(t, leaves, 1.0, out=np.full(40, np.nan))
             assert got.tobytes() == np.full(40, value).tobytes()
-            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
 
     def test_predict_equals_a_walk_one_row_at_a_time(self):
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
@@ -652,7 +657,9 @@ class TestFlatTreeRouting:
             X = rng.normal(size=(200, len(model.feature_names)))
             for row, i in enumerate(np.flatnonzero(tree.feature != tree.LEAF)):
                 X[row, tree.feature[i]] = tree.thresholds[i][t]  # a tie, which goes left
-            np.testing.assert_array_equal(tree.predict(t, X), walk(tree, t, X))
+            leaves = route_rows(tree, t, X)
+            np.testing.assert_array_equal(leaves, walk_leaves(tree, t, X))
+            assert tree.step(t, leaves, 1.0).tobytes() == walk(tree, t, X).tobytes()
 
     def test_nan_in_a_split_column_raises(self):
         with open(os.path.join(DATA_DIR, "model.json")) as fh:
@@ -661,11 +668,11 @@ class TestFlatTreeRouting:
         X = np.zeros((3, len(model.feature_names)))
         unused = sorted(set(range(X.shape[1])) - tree.features_used)
         X[:, unused] = np.nan
-        assert np.isfinite(tree.predict(0, X)).all()
+        assert np.isfinite(predict(tree, 0, X)).all()
         root = int(tree.feature[0])  # every row is routed on it
         X[1, root] = np.nan
         with pytest.raises(NumericalError, match=f"feature index {root} "):
-            tree.predict(0, X)
+            route_rows(tree, 0, X)
 
 
 def deep_tree(n_tasks, depth, seed):
@@ -718,8 +725,9 @@ class TestNodeIndexRouting:
         rng = np.random.default_rng(seed)
         for t in range(n_tasks):
             X = tied_rows(tree, t, 200, rng)
-            got = tree.route(t, np.ascontiguousarray(X.T), {}, np.full(len(X), np.nan))
-            assert got.tobytes() == walk(tree, t, X).tobytes()
+            leaves = route_rows(tree, t, X)
+            np.testing.assert_array_equal(leaves, walk_leaves(tree, t, X))
+            assert tree.step(t, leaves, 1.0).tobytes() == walk(tree, t, X).tobytes()
 
     @pytest.mark.parametrize("n_tasks", [1, 3])
     def test_a_tree_of_more_than_255_nodes_routes_like_a_walk(self, n_tasks):
@@ -728,7 +736,7 @@ class TestNodeIndexRouting:
         rng = np.random.default_rng(4)
         for t in range(n_tasks):
             X = tied_rows(tree, t, 2000, rng)
-            got = tree.predict(t, X)
+            got = predict(tree, t, X)
             assert got.tobytes() == walk(tree, t, X).tobytes()
             assert np.isin(got, tree.values[256:, t]).any()  # rows reach nodes past 255
 
@@ -760,7 +768,7 @@ class TestNodeIndexRouting:
         # root, and the others reach all 131 leaves of the chain.
         x1 = np.arange(-chain - 2, 3.0)
         X = np.column_stack([np.repeat([-1.0, 0.0, 1.0], len(x1)), np.tile(x1, 3)])
-        got = tree.predict(0, X)
+        got = predict(tree, 0, X)
         assert got.tobytes() == walk(tree, 0, X).tobytes()
         np.testing.assert_array_equal(got[X[:, 0] > 0], -1.0)
         assert len(np.unique(got)) == chain + 2

@@ -48,7 +48,9 @@ PINNED_SYNTH_ARGS = (
     "--n-universal", "1", "--n-specific", "1", "--seed", "0",
 )
 # `bouts fit`'s model.json and selected_features.json for two runs on that set,
-# written before the split search read one prepared node type.  "integer" fits
+# written before the split search read one prepared node type, and their
+# importances.json and metrics.csv, written before predictions and importances
+# read a task's trees through `BoutsModel.trees`.  "integer" fits
 # a copy whose feature cells are rounded to integers (see `integer_copy`), so
 # most boundaries are ties and the window-edge thresholds are reached.
 PINNED_FIT_DIR = os.path.join(DATA_DIR, "fit_pinned")
@@ -252,7 +254,7 @@ class TestFitCommand:
         out = str(tmp_path / "fit")
         code = run("fit", "--manifest", manifest, "--out", out, *PINNED_FIT_RUNS[run_name])
         assert code == cli.EXIT_OK
-        for name in ("model.json", "selected_features.json"):
+        for name in ("model.json", "selected_features.json", "importances.json", "metrics.csv"):
             want = os.path.join(PINNED_FIT_DIR, run_name, name)
             assert read_bytes(os.path.join(out, name)) == read_bytes(want), name
 

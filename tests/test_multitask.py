@@ -11,6 +11,7 @@ from bouts.multitask import (
     maximin_split,
 )
 from bouts.trees import VARIANCE, TreeParams, raw_gain, scan_columns, sort_rows
+from helpers import distinct, order, predict
 
 LOOSE = TreeParams(max_depth=1, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -135,7 +136,7 @@ class TestMaximinSplit:
         X1[:, 0] = 1.0
         pairs = [(X0, 3.0 * X0[:, 0] + X0[:, 1]), (X1, X1[:, 1] + 0.1 * X1[:, 2])]
         nodes, ys = view(pairs)
-        first = scan_columns(nodes[0].order, nodes[0].distinct, ys[0], 1, VARIANCE).max(axis=1)
+        first = scan_columns(order(nodes[0]), distinct(nodes[0]), ys[0], 1, VARIANCE).max(axis=1)
         assert first.argmax() == 0
         got = maximin_split(nodes, ys, {0}, 0.0, LOOSE)
         want = brute_force_maximin(pairs, {0}, 0.0, LOOSE)
@@ -153,7 +154,7 @@ class TestMaximinSplit:
         X0 = np.column_stack([x, np.r_[x[9::-1], x[:9:-1]]])
         y0 = step + 0.1 * np.random.default_rng(84).normal(size=20)
         nodes, ys = view([(X0, y0), (np.column_stack([x, x]), 10.0 * step)])
-        cand = scan_columns(nodes[0].order, nodes[0].distinct, ys[0], 1, VARIANCE)
+        cand = scan_columns(order(nodes[0]), distinct(nodes[0]), ys[0], 1, VARIANCE)
         g0, g1 = cand.max(axis=1)
         assert g0 < g1
         assert raw_gain(X0[:, 0], y0, 9.5, VARIANCE) == raw_gain(X0[:, 1], y0, 9.5, VARIANCE)
@@ -252,7 +253,7 @@ class TestGrowMultitaskTree:
         ys = [rng.normal(size=30) for _ in range(2)]
         tree, _ = grow_multitask_tree(roots(Xs), ys, params=TreeParams(min_samples_leaf=2))
         for t in range(2):
-            pred = tree.predict(t, Xs[t])
+            pred = predict(tree, t, Xs[t])
             # Residual sums vanish within each leaf when values are means.
             assert abs(float(np.sum(ys[t] - pred))) < 1e-9
 
@@ -267,7 +268,7 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.feature, tree.feature)
         np.testing.assert_array_equal(clone.thresholds, tree.thresholds)
         for t in range(2):
-            assert np.allclose(clone.predict(t, Xs[t]), tree.predict(t, Xs[t]))
+            assert np.allclose(predict(clone, t, Xs[t]), predict(tree, t, Xs[t]))
 
     @pytest.mark.parametrize(
         "links,problem",

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bouts.pathsweep as pathsweep
-from bouts.boosting import BoostConfig
-from bouts.data import MultitaskDataset, TaskDataset, overlap_split
+from bouts.boosting import BoostConfig, fit_single_task
+from bouts.data import MultitaskDataset, SplitAssignment, TaskDataset, overlap_split
 from bouts.errors import DataError, NumericalError
 from bouts.pathsweep import (
     PathPoint,
@@ -208,6 +209,96 @@ class TestDownstreamScores:
         assert a[0] == b[0]
         for x, y in zip(a[1], b[1]):
             np.testing.assert_array_equal(x, y)
+
+
+def walk(tree, x) -> float:
+    """Leaf value of one row of a T=1 tree, node by node; ties go left."""
+    i = 0
+    while tree.feature[i] != tree.LEAF:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.thresholds[i, 0] else tree.right[i]
+    return float(tree.values[i, 0])
+
+
+def reference_scores(dataset, split, selected, tree_params):
+    """``downstream_scores`` from its definition: each budget's predictions are
+    summed row by row in tree order.  Also returns each re-fit's tree count."""
+    beta = pathsweep.DOWNSTREAM_LEARNING_RATE
+    evs, naes, counts = [], [], []
+    for t, task in enumerate(dataset.tasks):
+        cols = sorted(selected[t])
+        tr, va, te = split.train[t], split.val[t], split.test[t]
+        if not cols:
+            evs.append(0.0)
+            naes.append(np.abs(task.y[te]))
+            continue
+        X = task.X[:, cols]
+        best = None
+        for depth in pathsweep.DOWNSTREAM_DEPTHS:
+            params = replace(tree_params, max_depth=depth)
+            trees, _ = fit_single_task(
+                X[tr], task.y[tr], max(pathsweep.DOWNSTREAM_ROUNDS), beta, 0.0, params=params
+            )
+            counts.append(len(trees))
+            for mark in sorted({min(r, len(trees)) for r in pathsweep.DOWNSTREAM_ROUNDS}):
+
+                def predict(rows):
+                    out = []
+                    for i in rows:
+                        f = 0.0
+                        for tree in trees[:mark]:
+                            f += beta * walk(tree, X[i])
+                        out.append(f)
+                    return np.array(out)
+
+                f_tr, f_va, f_te = predict(tr), predict(va), predict(te)
+                error = task.y[va] - f_va if len(va) else task.y[tr] - f_tr
+                ev = explained_variance(task.y[tr], f_tr)
+                cand = (float(np.mean(error**2)), ev, np.abs(task.y[te] - f_te))
+                if best is None or cand[0] < best[0]:
+                    best = cand
+        evs.append(best[1])
+        naes.append(best[2])
+    return evs, naes, counts
+
+
+def edge_case_dataset():
+    """Three tasks of 40 rows: task0 has no validation rows, task1 no test rows,
+    and task2's feature f3 is constant on its training rows, where its target
+    has mean ~0, so a re-fit on f3 alone accepts no tree."""
+    rng = np.random.default_rng(7)
+    names = [f"f{j}" for j in range(4)]
+    parts = {"train": [], "val": [], "test": []}
+    tasks = []
+    for t in range(3):
+        X = rng.standard_normal((40, 4))
+        y = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.3 * rng.standard_normal(40)
+        rows = np.arange(40)
+        n_va, n_te = [(0, 10), (10, 0), (8, 8)][t]
+        for key, idx in zip(parts, np.split(rows, [40 - n_va - n_te, 40 - n_te])):
+            parts[key].append(idx)
+        if t == 2:
+            X[parts["train"][2], 3] = 1.5
+            y[parts["train"][2]] -= y[parts["train"][2]].mean()
+        ids = [f"task{t}-{i}" for i in rows]
+        tasks.append(TaskDataset(name=f"task{t}", feature_names=names, X=X, y=y, sample_ids=ids))
+    split = SplitAssignment(seed=0, **parts)
+    return MultitaskDataset(tasks=tasks, candidate_features=names), split
+
+
+class TestDownstreamEdgeCases:
+    @pytest.mark.parametrize("selected", [([0, 1], [0, 1, 2], [3]), ([1], [0], [0, 3])])
+    def test_matches_the_row_by_row_reference(self, selected):
+        data, split = edge_case_dataset()
+        params = TreeParams(min_samples_leaf=3)
+        evs, naes = downstream_scores(data, split, selected, params)
+        want_evs, want_naes, counts = reference_scores(data, split, selected, params)
+        if selected[2] == [3]:
+            assert counts[-2:] == [0, 0]  # both depths of task2's re-fit accept no tree
+            assert evs[2] == 0.0
+        assert len(naes[1]) == 0  # task1 has no test rows
+        assert evs == want_evs
+        for got, want in zip(naes, want_naes):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSweep:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from bouts.errors import NumericalError
 from bouts.multitask import MultitaskTree, grow_multitask_tree, maximin_split
 from bouts.trees import (
@@ -15,6 +16,7 @@ from bouts.trees import (
     scan_columns,
     sort_rows,
 )
+from helpers import predict
 
 X4 = np.array([[1.0], [2.0], [3.0], [4.0]])
 Y4 = np.array([0.0, 0.0, 1.0, 1.0])
@@ -113,14 +115,14 @@ class TestBestSplitSingle:
 class TestSplitPreparation:
     def test_tie_free_task_masks_nothing(self):
         X = np.random.default_rng(8).normal(size=(20, 3))
-        distinct = prepared(X).distinct
+        distinct = helpers.distinct(prepared(X))
         assert distinct.shape == (3, 19)
         assert distinct.all()
 
     def test_one_repeated_value_masks_one_boundary(self):
         X = np.random.default_rng(9).normal(size=(20, 3))
         X[5, 1] = X[2, 1]
-        distinct = prepared(X).distinct
+        distinct = helpers.distinct(prepared(X))
         assert distinct.shape == (3, 19)
         assert np.count_nonzero(~distinct) == 1
         assert not distinct[1].all()
@@ -129,7 +131,8 @@ class TestSplitPreparation:
     def test_scan_of_no_features(self, criterion):
         y = np.arange(10.0)
         node = sort_rows(np.empty((0, 10)))
-        assert scan_columns(node.order, node.distinct, y, 2, criterion).shape == (0, 7)
+        cand = scan_columns(helpers.order(node), helpers.distinct(node), y, 2, criterion)
+        assert cand.shape == (0, 7)
 
 
 @st.composite
@@ -155,11 +158,12 @@ class TestSubset:
         assert got.root_XT is root.root_XT  # the node gathers no rows of its own
         for f in range(XT.shape[0]):
             np.testing.assert_array_equal(got.column(f), want.root_XT[f])
-        np.testing.assert_array_equal(got.order, want.order)
-        np.testing.assert_array_equal(got.distinct, want.distinct)
-        np.testing.assert_array_equal(got.order, np.argsort(XT[:, idx], axis=1, kind="stable"))
+        np.testing.assert_array_equal(helpers.order(got), helpers.order(want))
+        np.testing.assert_array_equal(helpers.distinct(got), helpers.distinct(want))
+        stable = np.argsort(XT[:, idx], axis=1, kind="stable")
+        np.testing.assert_array_equal(helpers.order(got), stable)
         for f, j in np.ndindex(XT.shape[0], max(idx.size - 1, 0)):
-            assert got.threshold(f, j, 1) == want.threshold(f, j, 1)
+            assert helpers.threshold(got, f, j, 1) == helpers.threshold(want, f, j, 1)
 
     @given(rows_and_subset(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -173,8 +177,8 @@ class TestSubset:
         features = data.draw(index_arrays | slices)
         want = sort_rows(XT[:, idx])
         order, distinct = sort_rows(XT).subset(idx).rows(features)
-        np.testing.assert_array_equal(order, want.order[features])
-        np.testing.assert_array_equal(distinct, want.distinct[features])
+        np.testing.assert_array_equal(order, helpers.order(want)[features])
+        np.testing.assert_array_equal(distinct, helpers.distinct(want)[features])
         assert order.dtype == np.intp
 
     def test_node_arrays_are_c_contiguous_and_keep_no_ranks(self):
@@ -182,8 +186,8 @@ class TestSubset:
         root = sort_rows(XT)
         node = root.subset(np.arange(0, 30, 3))
         assert root.ranks.dtype == np.int32 and node.ranks is None
-        assert node.order.dtype == np.intp
-        for a in (node.order, node.distinct):
+        assert helpers.order(node).dtype == np.intp
+        for a in (helpers.order(node), helpers.distinct(node)):
             assert a.flags.c_contiguous
 
     def test_wide_keys_past_two_to_the_fifteen_rows(self):
@@ -191,11 +195,13 @@ class TestSubset:
         XT = rng.integers(0, 7, size=(2, 40_000)).astype(float)
         root = sort_rows(XT)
         assert root.ranks.dtype == np.int64
-        np.testing.assert_array_equal(root.order, np.argsort(XT, axis=1, kind="stable"))
+        np.testing.assert_array_equal(helpers.order(root), np.argsort(XT, axis=1, kind="stable"))
         idx = np.flatnonzero(rng.random(40_000) < 0.5)
         node = root.subset(idx)
-        np.testing.assert_array_equal(node.order, np.argsort(XT[:, idx], axis=1, kind="stable"))
-        np.testing.assert_array_equal(node.distinct, sort_rows(XT[:, idx]).distinct)
+        stable = np.argsort(XT[:, idx], axis=1, kind="stable")
+        np.testing.assert_array_equal(helpers.order(node), stable)
+        want = helpers.distinct(sort_rows(XT[:, idx]))
+        np.testing.assert_array_equal(helpers.distinct(node), want)
 
 
 class TestGrowTree:
@@ -218,7 +224,7 @@ class TestGrowTree:
         y = np.array([0.0, 1.0, 10.0, 11.0, 100.0, 101.0, 110.0, 111.0])
         params = TreeParams(max_depth=3, min_samples_leaf=1, min_gain=0.0, criterion=VARIANCE)
         tree = grow(X, y, params=params)
-        assert np.allclose(tree.predict(0, X), y)
+        assert np.allclose(predict(tree, 0, X), y)
 
     def test_depth_limit(self):
         rng = np.random.default_rng(4)
@@ -257,44 +263,44 @@ class TestGrowTree:
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
         tree = grow(X, y, params=TreeParams(min_samples_leaf=2, criterion=VARIANCE))
-        base = float(np.mean((y - tree.predict(0, X)) ** 2))
+        base = float(np.mean((y - predict(tree, 0, X)) ** 2))
         for i in range(tree.n_nodes):
             if not tree.is_leaf(i):
                 continue
             original = tree.values[i][0]
             for bump in (0.1, -0.3):
                 tree.values[i][0] = original + bump
-                assert float(np.mean((y - tree.predict(0, X)) ** 2)) >= base - 1e-12
+                assert float(np.mean((y - predict(tree, 0, X)) ** 2)) >= base - 1e-12
             tree.values[i][0] = original
 
 
 class TestPredict:
     def test_single_leaf_constant(self):
         tree = MultitaskTree.from_dict({"nodes": [{"value": 2.0}]}, 1, 1)
-        assert tree.predict(0, np.array([[123.0]]))[0] == 2.0
+        assert predict(tree, 0, np.array([[123.0]]))[0] == 2.0
 
     def test_stump_routing(self):
         tree = grow(X4, Y4, params=LOOSE)
-        assert tree.predict(0, np.array([[1.0], [4.0]])) == pytest.approx([0.0, 1.0])
+        assert predict(tree, 0, np.array([[1.0], [4.0]])) == pytest.approx([0.0, 1.0])
 
     def test_boundary_goes_left(self):
         tree = grow(X4, Y4, params=LOOSE)
-        assert tree.predict(0, np.array([[2.5]]))[0] == pytest.approx(0.0)
+        assert predict(tree, 0, np.array([[2.5]]))[0] == pytest.approx(0.0)
 
     def test_nan_at_referenced_feature_errors(self):
         tree = grow(X4, Y4, params=LOOSE)
         with pytest.raises(NumericalError):
-            tree.predict(0, np.array([[np.nan]]))
+            predict(tree, 0, np.array([[np.nan]]))
         with pytest.raises(NumericalError):
-            tree.predict(0, np.array([[1.0], [np.nan]]))
+            predict(tree, 0, np.array([[1.0], [np.nan]]))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         tree = grow(X, y, params=TreeParams(min_samples_leaf=2))
-        batch = tree.predict(0, X)
-        singles = [tree.predict(0, X[i : i + 1])[0] for i in range(len(y))]
+        batch = predict(tree, 0, X)
+        singles = [predict(tree, 0, X[i : i + 1])[0] for i in range(len(y))]
         assert np.allclose(batch, singles)
 
 
@@ -311,6 +317,6 @@ class TestSerialization:
         assert clone.n_tasks == 1
         np.testing.assert_array_equal(clone.feature, tree.feature)
         np.testing.assert_array_equal(clone.thresholds, tree.thresholds)
-        assert np.allclose(clone.predict(0, X), tree.predict(0, X))
+        assert np.allclose(predict(clone, 0, X), predict(tree, 0, X))
         assert clone.features_used == tree.features_used
         assert clone.to_dict(scalar=True) == encoded
